@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt vet check bench
+.PHONY: build test race lint fmt vet perfbench check bench
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: build vet lint test
+# The benchmark is a nested module, so the root ./... never reaches it:
+# vet and test it on its own, which also catches a compile break against
+# the internal packages it imports.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet lint test perfbench
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

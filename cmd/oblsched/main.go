@@ -572,7 +572,7 @@ func runChaos(w io.Writer, m oblivious.Model, in *oblivious.Instance, v obliviou
 }
 
 // buildTraceCache builds the affectance engine the resolved mode
-// selects, shared by the chaos and checkpoint paths.
+// selects, shared by the trace, chaos and checkpoint paths.
 func buildTraceCache(m oblivious.Model, in *oblivious.Instance, v oblivious.Variant, mode oblivious.AffectanceMode, powers []float64, eps float64) (sinr.Cache, error) {
 	if mode.Resolve(in, eps) == oblivious.AffectSparse {
 		return sparse.For(m, v, in, powers, sparse.Options{Epsilon: eps})
@@ -601,17 +601,13 @@ func runTrace(w io.Writer, m oblivious.Model, in *oblivious.Instance, v obliviou
 		return err
 	}
 	powers := oblivious.PowersFor(m, in, a)
-	// Mirror the solver-level engine selection through the same Resolve
-	// predicate: the online engine reuses a covering sparse engine from
-	// the model and otherwise builds the dense matrices itself.
-	if mode.Resolve(in, cfg.eps) == oblivious.AffectSparse {
-		c, err := sparse.For(m, v, in, powers, sparse.Options{Epsilon: cfg.eps})
-		if err != nil {
-			return err
-		}
-		m = m.WithCache(c)
+	// The engine the resolved mode selects rides on a copy of the model:
+	// m itself stays cache-free for the oracle re-check below.
+	c, err := buildTraceCache(m, in, v, mode, powers, cfg.eps)
+	if err != nil {
+		return err
 	}
-	eng, err := online.New(m, in, v, powers,
+	eng, err := online.New(m.WithCache(c), in, v, powers,
 		online.WithAdmission(adm), online.WithRepair(rep), online.WithObserver(col))
 	if err != nil {
 		return err

@@ -1,14 +1,18 @@
 package oblivious
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestScheduleRoundTrip(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
-	s, err := ScheduleGreedy(m, in, Bidirectional, Sqrt())
+	res, err := Lookup("greedy").Solve(context.Background(), m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := res.Schedule
 	data, err := MarshalSchedule(s)
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func ExampleSolveAll() {
 
 // Four full-duplex links: two contended pairs near the origin and two far
 // away. The square root assignment schedules them in two slots.
-func ExampleScheduleGreedy() {
+func ExampleLookup_greedy() {
 	points := [][]float64{
 		{0, 0}, {3, 0},
 		{1, 1}, {1, 5},
@@ -75,13 +75,14 @@ func ExampleScheduleGreedy() {
 		return
 	}
 	m := oblivious.DefaultModel()
-	s, err := oblivious.ScheduleGreedy(m, in, oblivious.Bidirectional, oblivious.Sqrt())
+	res, err := oblivious.Lookup("greedy").Solve(context.Background(), m, in,
+		oblivious.WithVariant(oblivious.Bidirectional), oblivious.WithAssignment(oblivious.Sqrt()))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("colors:", s.NumColors())
-	fmt.Println("valid:", oblivious.Validate(m, in, oblivious.Bidirectional, s) == nil)
+	fmt.Println("colors:", res.Schedule.NumColors())
+	fmt.Println("valid:", oblivious.Validate(m, in, oblivious.Bidirectional, res.Schedule) == nil)
 	// Output:
 	// colors: 2
 	// valid: true

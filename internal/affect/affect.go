@@ -34,6 +34,7 @@ import (
 // is a caller bug — the same bug as mutating the build slice itself.
 type Cache struct {
 	in     *problem.Instance
+	v      sinr.Variant
 	alpha  float64
 	n      int
 	orig   *float64  // first element of the build slice (fast-path identity)
@@ -90,6 +91,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 	}
 	c := &Cache{
 		in:     in,
+		v:      v,
 		alpha:  m.Alpha,
 		n:      n,
 		orig:   &powers[0],
@@ -196,6 +198,10 @@ func transpose(a []float64, n int) []float64 {
 
 // N returns the number of requests the cache was built for.
 func (c *Cache) N() int { return c.n }
+
+// Variant returns the SINR variant the cache was built for: its matrices
+// serve that variant only.
+func (c *Cache) Variant() sinr.Variant { return c.v }
 
 // Covers reports whether the cache answers queries for this instance,
 // path-loss exponent and powers. Instance identity is by pointer; powers

@@ -39,6 +39,24 @@ func randomSet(rng *rand.Rand, n int) []int {
 	return set
 }
 
+// exactTracker builds an empty exact tracker over (in, powers).
+type exactTracker func(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) sinr.SetTracker
+
+// exactTrackers are the two exact sinr.SetTracker implementations the
+// tracker tests run against: the dense Tracker over the matrices, and
+// the Direct engine's tracker, which computes every pair instead.
+var exactTrackers = []struct {
+	name string
+	new  exactTracker
+}{
+	{"dense", func(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) sinr.SetTracker {
+		return NewTracker(m, v, New(m, v, in, powers))
+	}},
+	{"direct", func(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) sinr.SetTracker {
+		return NewDirect(m, v, in, powers).NewSetTracker(m, v)
+	}},
+}
+
 // TestOracleCrossCheck is the acceptance-criteria oracle: on randomized
 // instances, for uniform, sqrt and linear powers and both SINR variants,
 // the margins computed through the attached cache agree with the uncached
@@ -181,16 +199,22 @@ func TestTransposeConsistency(t *testing.T) {
 
 // TestTrackerMatchesOracle drives a random insert/remove sequence and
 // checks margins and set feasibility against the uncached model after
-// every operation, for both variants and all three power assignments.
+// every operation, for both exact trackers, both variants and all three
+// power assignments.
 func TestTrackerMatchesOracle(t *testing.T) {
+	for _, kind := range exactTrackers {
+		t.Run(kind.name, func(t *testing.T) { trackerMatchesOracle(t, kind.new) })
+	}
+}
+
+func trackerMatchesOracle(t *testing.T, newTracker exactTracker) {
 	in := randomInstance(t, 11, 40)
 	rng := rand.New(rand.NewSource(42))
 	m := sinr.Default()
 	for _, a := range assignments() {
 		powers := power.Powers(m, in, a)
 		for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
-			c := New(m, v, in, powers)
-			tr := NewTracker(m, v, c)
+			tr := newTracker(m, v, in, powers)
 			var set []int
 			inSet := make(map[int]bool)
 			for step := 0; step < 200; step++ {
@@ -235,10 +259,16 @@ func TestTrackerMatchesOracle(t *testing.T) {
 }
 
 func TestTrackerOrderAndQueries(t *testing.T) {
+	for _, kind := range exactTrackers {
+		t.Run(kind.name, func(t *testing.T) { trackerOrderAndQueries(t, kind.new) })
+	}
+}
+
+func trackerOrderAndQueries(t *testing.T, newTracker exactTracker) {
 	in := randomInstance(t, 12, 20)
 	m := sinr.Default()
 	powers := power.Powers(m, in, power.Sqrt())
-	tr := NewTracker(m, sinr.Bidirectional, New(m, sinr.Bidirectional, in, powers))
+	tr := newTracker(m, sinr.Bidirectional, in, powers)
 	for _, i := range []int{5, 2, 9, 0, 7} {
 		tr.Add(i)
 	}
@@ -315,6 +345,12 @@ func TestNewPanicsOnLengthMismatch(t *testing.T) {
 // constraints. Margins after any insert/remove sequence must match the
 // uncached oracle.
 func TestTrackerZeroDistancePairs(t *testing.T) {
+	for _, kind := range exactTrackers {
+		t.Run(kind.name, func(t *testing.T) { trackerZeroDistancePairs(t, kind.new) })
+	}
+}
+
+func trackerZeroDistancePairs(t *testing.T, newTracker exactTracker) {
 	// Nodes at 0,1 | 1,2 | 50,51: requests 0 and 1 share coordinate 1.
 	l, err := geom.NewLine([]float64{0, 1, 1, 2, 50, 51})
 	if err != nil {
@@ -326,8 +362,7 @@ func TestTrackerZeroDistancePairs(t *testing.T) {
 	}
 	m := sinr.Default()
 	powers := power.Powers(m, in, power.Sqrt())
-	c := New(m, sinr.Bidirectional, in, powers)
-	tr := NewTracker(m, sinr.Bidirectional, c)
+	tr := newTracker(m, sinr.Bidirectional, in, powers)
 
 	tr.Add(0)
 	tr.Add(1) // infinite mutual interference with 0

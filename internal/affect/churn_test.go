@@ -14,8 +14,8 @@ import (
 // freshTracker rebuilds a tracker from scratch by inserting the members in
 // the same insertion order, so its accumulators carry no incremental
 // history. It is the drift-free reference the churn tests compare against.
-func freshTracker(m sinr.Model, v sinr.Variant, c sinr.Cache, members []int) *Tracker {
-	tr := NewTracker(m, v, c)
+func freshTracker(newTracker func() sinr.SetTracker, members []int) sinr.SetTracker {
+	tr := newTracker()
 	for _, i := range members {
 		tr.Add(i)
 	}
@@ -42,31 +42,33 @@ func sameMargin(got, want float64) bool {
 // accumulator drift the incremental updates introduce.
 func churnCrossCheck(t *testing.T, m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, seed int64, steps int) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	c := New(m, v, in, powers)
-	tr := NewTracker(m, v, c)
-	for step := 0; step < steps; step++ {
-		i := rng.Intn(in.N())
-		if tr.Contains(i) {
-			tr.Remove(i)
-		} else {
-			tr.Add(i)
-		}
-		ref := freshTracker(m, v, c, tr.Members())
-		for _, j := range tr.Members() {
-			if got, want := tr.Margin(j), ref.Margin(j); !sameMargin(got, want) {
-				t.Fatalf("%s step %d: margin(%d) churned %g, fresh %g", v, step, j, got, want)
+	for _, kind := range exactTrackers {
+		newTracker := func() sinr.SetTracker { return kind.new(m, v, in, powers) }
+		rng := rand.New(rand.NewSource(seed))
+		tr := newTracker()
+		for step := 0; step < steps; step++ {
+			i := rng.Intn(in.N())
+			if tr.Contains(i) {
+				tr.Remove(i)
+			} else {
+				tr.Add(i)
 			}
-		}
-		if got, want := tr.SetFeasible(), ref.SetFeasible(); got != want {
-			t.Fatalf("%s step %d: SetFeasible churned %t, fresh %t", v, step, got, want)
-		}
-		// The argmin may legitimately differ when two members tie within
-		// the drift band; the worst value itself must still agree.
-		gw, _ := tr.WorstMargin()
-		ww, _ := ref.WorstMargin()
-		if !sameMargin(gw, ww) {
-			t.Fatalf("%s step %d: WorstMargin churned %g, fresh %g", v, step, gw, ww)
+			ref := freshTracker(newTracker, tr.Members())
+			for _, j := range tr.Members() {
+				if got, want := tr.Margin(j), ref.Margin(j); !sameMargin(got, want) {
+					t.Fatalf("%s %s step %d: margin(%d) churned %g, fresh %g", kind.name, v, step, j, got, want)
+				}
+			}
+			if got, want := tr.SetFeasible(), ref.SetFeasible(); got != want {
+				t.Fatalf("%s %s step %d: SetFeasible churned %t, fresh %t", kind.name, v, step, got, want)
+			}
+			// The argmin may legitimately differ when two members tie within
+			// the drift band; the worst value itself must still agree.
+			gw, _ := tr.WorstMargin()
+			ww, _ := ref.WorstMargin()
+			if !sameMargin(gw, ww) {
+				t.Fatalf("%s %s step %d: WorstMargin churned %g, fresh %g", kind.name, v, step, gw, ww)
+			}
 		}
 	}
 }
@@ -124,11 +126,17 @@ func TestTrackerChurnZeroDistance(t *testing.T) {
 // empty, every query treats former members as absent, and a re-populated
 // tracker is indistinguishable from a freshly allocated one.
 func TestTrackerReset(t *testing.T) {
+	for _, kind := range exactTrackers {
+		t.Run(kind.name, func(t *testing.T) { trackerReset(t, kind.new) })
+	}
+}
+
+func trackerReset(t *testing.T, newExact exactTracker) {
 	in := sharedNodeInstance(t)
 	m := sinr.Default()
 	powers := power.Powers(m, in, power.Sqrt())
-	c := New(m, sinr.Bidirectional, in, powers)
-	tr := NewTracker(m, sinr.Bidirectional, c)
+	newTracker := func() sinr.SetTracker { return newExact(m, sinr.Bidirectional, in, powers) }
+	tr := newTracker()
 	for _, i := range []int{0, 1, 5, 3} { // includes an Inf pair (0,1)
 		tr.Add(i)
 	}
@@ -146,7 +154,7 @@ func TestTrackerReset(t *testing.T) {
 	for _, i := range []int{1, 2, 5} {
 		tr.Add(i)
 	}
-	ref := freshTracker(m, sinr.Bidirectional, c, []int{1, 2, 5})
+	ref := freshTracker(newTracker, []int{1, 2, 5})
 	for _, j := range tr.Members() {
 		if got, want := tr.Margin(j), ref.Margin(j); !sameMargin(got, want) {
 			t.Fatalf("recycled margin(%d) %g, fresh %g", j, got, want)

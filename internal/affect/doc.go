@@ -25,6 +25,14 @@
 //     hands one Store to all workers.
 //   - Tracker maintains a transmission set with running interference
 //     accumulators: O(|set|) insert/remove and O(1) member margins,
-//     replacing the O(|set|²) re-scan of direct set-feasibility. Greedy
-//     coloring and the thinning of Proposition 3 build on it.
+//     replacing the O(|set|²) re-scan of direct set-feasibility.
+//   - Direct is the matrix-free engine: the same values computed per
+//     pair on demand, at O(n) memory, with a tracker of its own.
+//   - Resolve is the one place consumers get their engine from: the
+//     engine the model carries when it serves the requested variant (a
+//     dense Cache through its Rows adapter, the sparse grid engine or a
+//     wrapper of one as is), a new Direct engine otherwise. Every
+//     Engine hands out sinr.SetTrackers and answers PairBound and
+//     InterferenceBound, so greedy coloring, thinning, the LP passes,
+//     the online engine and the fault injector take one path.
 package affect

@@ -76,6 +76,8 @@ func rings(eps, alpha float64, dim int) int32 {
 // Like the dense cache it is immutable after construction and safe for
 // concurrent readers; the trackers it hands out are not.
 type Engine struct {
+	affect.NoRows // rows are exactly what the engine refuses to build
+
 	in     *problem.Instance
 	v      sinr.Variant
 	alpha  float64
@@ -448,25 +450,6 @@ func (e *Engine) Covers(in *problem.Instance, alpha float64, powers []float64) b
 	e.accepted.Store(key)
 	return true
 }
-
-// DirectedInto returns nil: the engine materializes no rows. Row-walking
-// consumers must gate on sinr.TrackerProvider instead.
-func (e *Engine) DirectedInto(int) []float64 { return nil }
-
-// DirectedFrom returns nil; see DirectedInto.
-func (e *Engine) DirectedFrom(int) []float64 { return nil }
-
-// IntoU returns nil; see DirectedInto.
-func (e *Engine) IntoU(int) []float64 { return nil }
-
-// IntoV returns nil; see DirectedInto.
-func (e *Engine) IntoV(int) []float64 { return nil }
-
-// FromU returns nil; see DirectedInto.
-func (e *Engine) FromU(int) []float64 { return nil }
-
-// FromV returns nil; see DirectedInto.
-func (e *Engine) FromV(int) []float64 { return nil }
 
 // Signals returns the per-request signal strengths p_i/ℓ_i.
 func (e *Engine) Signals() []float64 { return e.signals }

@@ -8,13 +8,11 @@
 //
 //   - GreedyFirstFit colors requests (longest first by default, see
 //     LengthOrder) into the first class they fit; MaxFeasibleSubsetGreedy
-//     extracts a single maximal class. Both consult the affectance cache
-//     attached to the model (package affect) and match the uncached
-//     computation bit for bit.
+//     extracts a single maximal class.
 //   - ThinToGain / ThinToGainStrategy realize Proposition 3: thin a
-//     β-feasible set to a stronger gain β′. With a covering cache the
-//     loop runs on the incremental tracker in O(|set|²) total instead of
-//     O(|set|³). ColorWithGain iterates it into Proposition 4's coloring.
+//     β-feasible set to a stronger gain β′, in O(|set|²) pair
+//     evaluations on an incremental tracker. ColorWithGain iterates it
+//     into Proposition 4's coloring.
 //   - SqrtLPColoring (+Opts/+Ctx variants) is the Theorem 15 coloring for
 //     the bidirectional problem under square root powers: distance
 //     classes, a packing LP per class (package lp), randomized rounding,
@@ -23,4 +21,13 @@
 //   - ConflictGraph and CliqueLowerBound (lowerbound.go) build the
 //     pairwise-conflict graph and its greedy clique bound — the
 //     certificate experiments compare schedule lengths against.
+//
+// Every feasibility question — greedy admission, thinning, the LP's
+// budget, conflict, repair and maximality passes — goes to the one
+// engine affect.Resolve derives from the model: the dense matrices, the
+// sparse grid, or the matrix-free direct engine, driven through
+// sinr.SetTracker and the engine's PairBound/InterferenceBound queries.
+// The exact engines agree bitwise, so a schedule does not depend on
+// whether the affectance cache is on. Only the LP matrix assembly reads
+// the dense rows directly when they exist.
 package coloring

@@ -66,11 +66,11 @@ func ThinToGainCtx(ctx context.Context, m sinr.Model, in *problem.Instance, v si
 // ThinToGainStrategy is ThinToGain with an explicit victim heuristic; rng
 // is required only by ThinRandom.
 //
-// With a covering affectance cache attached to the model, the loop runs on
-// an incremental interference tracker: feasibility probes and offender
-// scores are updated in O(|set|) per removal instead of re-scanned in
-// O(|set|²), making the whole thinning O(|set|²) instead of O(|set|³).
-// Without a cache the direct computation below remains the oracle.
+// The loop runs on an incremental interference tracker of the engine
+// affect.Resolve picks: feasibility probes and offender scores are
+// updated in O(|set|) per removal instead of re-scanned in O(|set|²),
+// making the whole thinning O(|set|²) pair evaluations instead of
+// O(|set|³).
 func ThinToGainStrategy(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, set []int, betaPrime float64, strat ThinStrategy, rng *rand.Rand) ([]int, error) {
 	return ThinToGainStrategyCtx(context.Background(), m, in, v, powers, set, betaPrime, strat, rng, nil)
 }
@@ -107,122 +107,31 @@ func ThinToGainStrategyCtx(ctx context.Context, m sinr.Model, in *problem.Instan
 		return nil, errors.New("coloring: ThinRandom needs an rng")
 	}
 	strict := m.WithBeta(betaPrime)
-	if tp, probe, c := engineFor(strict, in, v, powers); tp != nil {
-		if pb, ok := tp.(pairBounder); ok {
-			return thinTrackedSparse(ctx, v, probe, pb, set, strat, rng, sc)
-		}
-	} else if c != nil {
-		return thinTracked(ctx, strict, v, c, set, strat, rng, sc)
-	}
-	cur := append([]int(nil), set...)
-	for len(cur) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if strict.SetFeasible(in, v, powers, cur) {
-			return cur, nil
-		}
-		var victim int
-		switch strat {
-		case ThinWorstMargin:
-			worst, worstMargin := 0, math.Inf(1)
-			for a, j := range cur {
-				if mg := strict.Margin(in, v, powers, cur, j); mg < worstMargin {
-					worstMargin = mg
-					worst = a
-				}
-			}
-			victim = worst
-		case ThinRandom:
-			victim = rng.Intn(len(cur))
-		default:
-			// Score each request by the total interference it causes to
-			// the others, normalized by each victim's signal strength.
-			worst, worstScore := -1, math.Inf(-1)
-			for a, j := range cur {
-				var score float64
-				for _, i := range cur {
-					if i == j {
-						continue
-					}
-					c := contribution(m, in, v, powers, j, i)
-					signal := powers[i] / m.RequestLoss(in, i)
-					tot := c[0]
-					if v == sinr.Bidirectional && c[1] > c[0] {
-						tot = c[1]
-					}
-					score += tot / signal
-				}
-				if score > worstScore {
-					worstScore = score
-					worst = a
-				}
-			}
-			victim = worst
-		}
-		cur = append(cur[:victim], cur[victim+1:]...)
-	}
-	return nil, errors.New("coloring: thinning removed every request")
-}
-
-// thinTracked is the cached thinning loop: the set lives in an affect
-// tracker whose accumulators answer feasibility in O(|set|), and the
-// worst-offender scores are maintained incrementally — on removing victim
-// w, score[j] only loses j's contribution at w. Victim selection scans the
-// members in input order with the same strict comparisons as the direct
-// loop, so the two paths pick the same victims except on floating-point
-// near-ties at the drift scale (~1e-15 relative).
-func thinTracked(ctx context.Context, strict sinr.Model, v sinr.Variant, c sinr.Cache, set []int, strat ThinStrategy, rng *rand.Rand, sc *ThinScratch) ([]int, error) {
-	// tot(j→i) is the worst-endpoint interference j adds at i, the score
-	// numerator of the direct loop.
+	eng := affect.Resolve(strict, v, in, powers)
+	// tot(i, j) is the worst-endpoint interference j adds at i, the
+	// worst-offender score numerator.
 	tot := func(i, j int) float64 {
-		switch v {
-		case sinr.Directed:
-			return c.DirectedInto(i)[j]
-		default:
-			t := c.IntoU(i)[j]
-			if tv := c.IntoV(i)[j]; tv > t {
-				t = tv
-			}
-			return t
-		}
-	}
-	return thinWithTracker(ctx, affect.NewTracker(strict, v, c), c.Signals(), tot, set, strat, rng, sc)
-}
-
-// pairBounder is the optional per-pair query of the sparse engine: a
-// conservative upper bound on the affectance j adds at i's constraint
-// node(s), exact for near pairs.
-type pairBounder interface {
-	PairBound(i, j int) (float64, float64)
-}
-
-// thinTrackedSparse is the thinning loop over a sparse engine: margins
-// and feasibility come from the conservative tracker, the worst-offender
-// scores from the per-pair bounds. The surviving subset is feasible at
-// the strict gain under the exact constraints (conservative margins only
-// over-thin, never under-thin).
-func thinTrackedSparse(ctx context.Context, v sinr.Variant, tr sinr.SetTracker, pb pairBounder, set []int, strat ThinStrategy, rng *rand.Rand, sc *ThinScratch) ([]int, error) {
-	tot := func(i, j int) float64 {
-		b1, b2 := pb.PairBound(i, j)
+		b1, b2 := eng.PairBound(i, j)
 		if v == sinr.Bidirectional && b2 > b1 {
 			return b2
 		}
 		return b1
 	}
-	// The sparse engine implements sinr.Cache for exactly this metadata.
-	signals := pb.(sinr.Cache).Signals()
-	return thinWithTracker(ctx, tr, signals, tot, set, strat, rng, sc)
+	return thinWithTracker(ctx, eng.NewSetTracker(strict, v), eng.Signals(), tot, set, strat, rng, sc)
 }
 
-// thinWithTracker is the victim-selection loop shared by the dense and
-// sparse tracked paths: the set lives in the tracker, whose accumulators
-// answer feasibility in O(|set|), and the worst-offender scores are
-// maintained incrementally through tot.
-// Both callers hand in a tracker they just built, so the initial Add
-// sweep needs no Reset.
+// thinWithTracker is the victim-selection loop: the set lives in the
+// tracker, whose accumulators answer feasibility in O(|set|), and the
+// worst-offender scores are maintained incrementally through tot — on
+// removing victim w, score[j] only loses j's contribution at w. Victims
+// are picked by scanning the members in input order with strict
+// comparisons. With a conservative (sparse) engine the margins and
+// scores are upper-bound based, which only over-thins: the survivors
+// are feasible at the strict gain under the exact constraints.
+// The caller hands in a tracker it just built, so the initial Add sweep
+// needs no Reset.
 //
-//oblint:fresh callers pass a freshly constructed tracker
+//oblint:fresh the caller passes a freshly constructed tracker
 //oblint:hotpath
 func thinWithTracker(ctx context.Context, tr sinr.SetTracker, signals []float64, tot func(i, j int) float64, set []int, strat ThinStrategy, rng *rand.Rand, sc *ThinScratch) ([]int, error) {
 	for _, j := range set {
@@ -252,6 +161,16 @@ func thinWithTracker(ctx context.Context, tr sinr.SetTracker, signals []float64,
 		case ThinRandom:
 			victim = tr.At(rng.Intn(tr.Len()))
 		default:
+			if tr.Len() == 2 {
+				// Two members left: each score is the single mutual term,
+				// and in the bidirectional variant under the square root
+				// assignment the two are mathematically equal, so the
+				// running sums' rounding would pick the victim. Take the
+				// terms fresh, as a from-scratch scan of the set does.
+				a, b := tr.At(0), tr.At(1)
+				score[a] = tot(b, a) / signals[b]
+				score[b] = tot(a, b) / signals[a]
+			}
 			worst, worstScore := -1, math.Inf(-1)
 			for k := 0; k < tr.Len(); k++ {
 				if j := tr.At(k); score[j] > worstScore {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/affect"
 	"repro/internal/problem"
 	"repro/internal/sinr"
 )
@@ -23,167 +24,6 @@ func LengthOrder(in *problem.Instance) []int {
 	return idx
 }
 
-// engineFor resolves the model's covering affectance cache for the
-// variant into the form the algorithms consume: a tracker provider (the
-// sparse engine, whose row accessors return nil) or a row cache (the
-// dense engine). Probing the provider costs one tracker build (O(n)
-// backing arrays), so that first tracker is returned for the caller to
-// use rather than re-allocate. At most provider or cache is non-nil;
-// both nil means the direct computation is the only oracle.
-func engineFor(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64) (sinr.TrackerProvider, sinr.SetTracker, sinr.Cache) {
-	c := m.CacheFor(in, powers)
-	if c == nil {
-		return nil, nil, nil
-	}
-	if tp, ok := c.(sinr.TrackerProvider); ok {
-		if tr := tp.NewSetTracker(m, v); tr != nil {
-			return tp, tr, nil
-		}
-		return nil, nil, nil
-	}
-	// A dense cache built for the other variant has nil rows for this
-	// one; streaming them would fault, so fall back to the direct path.
-	if n := len(c.Signals()); n > 0 {
-		if v == sinr.Directed && c.DirectedInto(0) == nil {
-			return nil, nil, nil
-		}
-		if v == sinr.Bidirectional && c.IntoU(0) == nil {
-			return nil, nil, nil
-		}
-	}
-	return nil, nil, c
-}
-
-// classState caches, for one color class, the interference received at the
-// relevant nodes of each member, so that first-fit insertions cost O(|class|)
-// instead of O(|class|^2).
-type classState struct {
-	members []int
-	// interf[k] is the interference currently received by members[k]: for
-	// the directed variant only entry 0 (at the receiver) is used; for the
-	// bidirectional variant entry 0 is at U and entry 1 at V.
-	interf [][2]float64
-}
-
-// contribution returns the interference request j adds at the constraint
-// node(s) of request i: for Directed, the single value at i's receiver;
-// for Bidirectional, the values at i's two endpoints.
-//
-//oblint:hotpath
-func contribution(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, j, i int) [2]float64 {
-	switch v {
-	case sinr.Directed:
-		//oblint:ignore direct-oracle fallback; cached engines bypass contribution entirely
-		return [2]float64{powers[j] / m.Loss(in.Space.Dist(in.Reqs[j].U, in.Reqs[i].V)), 0}
-	case sinr.Bidirectional:
-		return [2]float64{
-			powers[j] / m.MinLossToNode(in, j, in.Reqs[i].U),
-			powers[j] / m.MinLossToNode(in, j, in.Reqs[i].V),
-		}
-	default:
-		panic(fmt.Sprintf("coloring: unknown variant %d", int(v)))
-	}
-}
-
-// fits reports whether request j can join the class without violating any
-// SINR constraint (the candidate's and the members'), and returns the
-// interference j would receive and the contributions j would add. With a
-// covering affectance cache (cache may be nil) the per-pair contributions
-// become row lookups; both paths compute bitwise-identical values.
-//
-//oblint:hotpath
-func (cs *classState) fits(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, cache sinr.Cache, j int) (own [2]float64, adds [][2]float64, ok bool) {
-	if cache != nil {
-		return cs.fitsCached(m, v, cache, j)
-	}
-	signalJ := powers[j] / m.RequestLoss(in, j)
-	for _, i := range cs.members {
-		c := contribution(m, in, v, powers, i, j)
-		own[0] += c[0]
-		own[1] += c[1]
-	}
-	if signalJ < m.Beta*(own[0]+m.Noise) || (v == sinr.Bidirectional && signalJ < m.Beta*(own[1]+m.Noise)) {
-		return own, nil, false
-	}
-	adds = make([][2]float64, len(cs.members))
-	for k, i := range cs.members {
-		c := contribution(m, in, v, powers, j, i)
-		adds[k] = c
-		signalI := powers[i] / m.RequestLoss(in, i)
-		if signalI < m.Beta*(cs.interf[k][0]+c[0]+m.Noise) {
-			return own, nil, false
-		}
-		if v == sinr.Bidirectional && signalI < m.Beta*(cs.interf[k][1]+c[1]+m.Noise) {
-			return own, nil, false
-		}
-	}
-	return own, adds, true
-}
-
-// fitsCached is fits against the affectance matrices: the candidate's
-// incoming interference streams through the Into rows of j and its
-// contributions to the members through the From rows of j, so the loop
-// touches two contiguous rows instead of recomputing distances and losses.
-//
-//oblint:hotpath
-func (cs *classState) fitsCached(m sinr.Model, v sinr.Variant, cache sinr.Cache, j int) (own [2]float64, adds [][2]float64, ok bool) {
-	signals := cache.Signals()
-	signalJ := signals[j]
-	switch v {
-	case sinr.Directed:
-		into := cache.DirectedInto(j)
-		for _, i := range cs.members {
-			own[0] += into[i]
-		}
-		if signalJ < m.Beta*(own[0]+m.Noise) {
-			return own, nil, false
-		}
-		from := cache.DirectedFrom(j)
-		adds = make([][2]float64, len(cs.members))
-		for k, i := range cs.members {
-			adds[k] = [2]float64{from[i], 0}
-			if signals[i] < m.Beta*(cs.interf[k][0]+from[i]+m.Noise) {
-				return own, nil, false
-			}
-		}
-	case sinr.Bidirectional:
-		intoU, intoV := cache.IntoU(j), cache.IntoV(j)
-		for _, i := range cs.members {
-			own[0] += intoU[i]
-			own[1] += intoV[i]
-		}
-		if signalJ < m.Beta*(own[0]+m.Noise) || signalJ < m.Beta*(own[1]+m.Noise) {
-			return own, nil, false
-		}
-		fromU, fromV := cache.FromU(j), cache.FromV(j)
-		adds = make([][2]float64, len(cs.members))
-		for k, i := range cs.members {
-			adds[k] = [2]float64{fromU[i], fromV[i]}
-			if signals[i] < m.Beta*(cs.interf[k][0]+fromU[i]+m.Noise) {
-				return own, nil, false
-			}
-			if signals[i] < m.Beta*(cs.interf[k][1]+fromV[i]+m.Noise) {
-				return own, nil, false
-			}
-		}
-	default:
-		panic(fmt.Sprintf("coloring: unknown variant %d", int(v)))
-	}
-	return own, adds, true
-}
-
-// add inserts request j with the precomputed interference values.
-//
-//oblint:hotpath
-func (cs *classState) add(j int, own [2]float64, adds [][2]float64) {
-	for k := range cs.members {
-		cs.interf[k][0] += adds[k][0]
-		cs.interf[k][1] += adds[k][1]
-	}
-	cs.members = append(cs.members, j)
-	cs.interf = append(cs.interf, own)
-}
-
 // ErrUnschedulable is returned when a request cannot be scheduled even
 // alone, which only happens with positive noise and insufficient power.
 var ErrUnschedulable = errors.New("coloring: request infeasible even in its own color")
@@ -191,7 +31,11 @@ var ErrUnschedulable = errors.New("coloring: request infeasible even in its own 
 // GreedyFirstFit colors the requests in the given order (LengthOrder if nil)
 // by assigning each to the first color class it fits into, opening a new
 // class when none fits. The powers slice is fixed and copied into the
-// schedule.
+// schedule. Each class is a sinr.SetTracker of the engine affect.Resolve
+// picks, and admission is its CanAdd: exact over the dense rows or the
+// direct computation, conservative over the sparse grid — where the
+// schedule may use more colors, but every class is provably feasible
+// under the exact constraints.
 func GreedyFirstFit(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, order []int) (*problem.Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -202,58 +46,10 @@ func GreedyFirstFit(m sinr.Model, in *problem.Instance, v sinr.Variant, powers [
 	if order == nil {
 		order = LengthOrder(in)
 	}
-	tp, probe, cache := engineFor(m, in, v, powers)
-	if tp != nil {
-		return greedyTracked(m, in, v, powers, order, tp, probe)
-	}
-	s := problem.NewSchedule(in.N())
-	copy(s.Powers, powers)
-	var classes []*classState
-	for _, j := range order {
-		if powers[j]/m.RequestLoss(in, j) < m.Beta*m.Noise {
-			return nil, fmt.Errorf("%w: request %d", ErrUnschedulable, j)
-		}
-		placed := false
-		for c, cs := range classes {
-			own, adds, ok := cs.fits(m, in, v, powers, cache, j)
-			if ok {
-				cs.add(j, own, adds)
-				s.Colors[j] = c
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			cs := &classState{}
-			own, adds, ok := cs.fits(m, in, v, powers, cache, j)
-			if !ok {
-				return nil, fmt.Errorf("%w: request %d", ErrUnschedulable, j)
-			}
-			cs.add(j, own, adds)
-			classes = append(classes, cs)
-			s.Colors[j] = len(classes) - 1
-		}
-	}
-	return s, nil
-}
-
-// greedyTracked is greedy first-fit over the trackers of a sparse-style
-// affectance engine: each color class is a sinr.SetTracker, admission is
-// CanAdd, so the loop never streams a dense row. Margins are conservative
-// — the schedule may use more colors than the exact dense greedy — but
-// every class the trackers accept is provably feasible under the exact
-// constraints.
-func greedyTracked(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, order []int, tp sinr.TrackerProvider, probe sinr.SetTracker) (*problem.Schedule, error) {
+	eng := affect.Resolve(m, v, in, powers)
 	s := problem.NewSchedule(in.N())
 	copy(s.Powers, powers)
 	var classes []sinr.SetTracker
-	newTracker := func() sinr.SetTracker {
-		if tr := probe; tr != nil {
-			probe = nil
-			return tr
-		}
-		return tp.NewSetTracker(m, v)
-	}
 	for _, j := range order {
 		if powers[j]/m.RequestLoss(in, j) < m.Beta*m.Noise {
 			return nil, fmt.Errorf("%w: request %d", ErrUnschedulable, j)
@@ -268,7 +64,7 @@ func greedyTracked(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []
 			}
 		}
 		if !placed {
-			tr := newTracker() //oblint:fresh engineFor's probe or a brand-new provider tracker
+			tr := eng.NewSetTracker(m, v)
 			if !tr.CanAdd(j) {
 				return nil, fmt.Errorf("%w: request %d", ErrUnschedulable, j)
 			}
@@ -288,26 +84,13 @@ func MaxFeasibleSubsetGreedy(m sinr.Model, in *problem.Instance, v sinr.Variant,
 	if order == nil {
 		order = LengthOrder(in)
 	}
-	tp, probe, cache := engineFor(m, in, v, powers)
-	var members []int
-	if tp != nil {
-		tr := probe //oblint:fresh the probe is freshly built by engineFor
-		for _, j := range order {
-			if tr.CanAdd(j) {
-				tr.Add(j)
-			}
+	tr := affect.Resolve(m, v, in, powers).NewSetTracker(m, v)
+	for _, j := range order {
+		if tr.CanAdd(j) {
+			tr.Add(j)
 		}
-		members = tr.Members()
-	} else {
-		cs := &classState{}
-		for _, j := range order {
-			if own, adds, ok := cs.fits(m, in, v, powers, cache, j); ok {
-				cs.add(j, own, adds)
-			}
-		}
-		members = cs.members
 	}
-	out := append([]int(nil), members...)
+	out := tr.Members()
 	sort.Ints(out)
 	return out
 }

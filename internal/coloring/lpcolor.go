@@ -24,10 +24,6 @@ type LPOptions struct {
 	// Kappa overrides the rounding divisor (default 2): candidate j is
 	// kept with probability x_j/Kappa.
 	Kappa float64
-	// NoCache disables the affectance cache the coloring otherwise builds
-	// (or reuses, if the model already carries a covering one) for its
-	// interference queries.
-	NoCache bool
 }
 
 // LPStats reports diagnostics from one run of the LP-based coloring.
@@ -59,7 +55,9 @@ func SqrtLPColoringOpts(m sinr.Model, in *problem.Instance, rng *rand.Rand, opts
 
 // SqrtLPColoringCtx is SqrtLPColoringOpts with cooperative cancellation:
 // the context is checked before every outer color round, so a canceled
-// ctx aborts a long coloring between LP solves.
+// ctx aborts a long coloring between LP solves. Unless the model already
+// carries an affectance engine covering the square root powers, the
+// coloring builds the dense one for its interference queries.
 func SqrtLPColoringCtx(ctx context.Context, m sinr.Model, in *problem.Instance, rng *rand.Rand, opts LPOptions) (*problem.Schedule, *LPStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
@@ -68,7 +66,7 @@ func SqrtLPColoringCtx(ctx context.Context, m sinr.Model, in *problem.Instance, 
 		return nil, nil, errors.New("coloring: nil rng")
 	}
 	powers := power.Powers(m, in, power.Sqrt())
-	if !opts.NoCache && m.CacheFor(in, powers) == nil {
+	if m.CacheFor(in, powers) == nil {
 		m = m.WithCache(affect.New(m, sinr.Bidirectional, in, powers))
 	}
 	s := problem.NewSchedule(in.N())
@@ -149,16 +147,15 @@ func MaxFeasibleSubsetLP(m sinr.Model, in *problem.Instance, rng *rand.Rand) ([]
 // back to the full gain β (Proposition 3, covering the constant-factor
 // slack of Lemma 19 and the within-class length spread).
 func algorithmA(m sinr.Model, in *problem.Instance, powers []float64, remaining []int, rng *rand.Rand, stats *LPStats, opts LPOptions) ([]int, error) {
-	tp, probe, cache := engineFor(m, in, sinr.Bidirectional, powers)
-	ib, _ := tp.(interferenceBounder)
+	eng := affect.Resolve(m, sinr.Bidirectional, in, powers)
 	classes := distanceClasses(in, remaining)
 	var selected []int
 	for _, class := range classes {
-		cand := candidatesWithinBudget(m, in, powers, ib, selected, class)
+		cand := candidatesWithinBudget(m, in, eng, selected, class)
 		if len(cand) == 0 {
 			continue
 		}
-		picked, err := selectByLP(m, in, powers, cache, ib, selected, cand, rng, stats, opts)
+		picked, err := selectByLP(m, in, powers, eng, selected, cand, rng, stats, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +175,9 @@ func algorithmA(m sinr.Model, in *problem.Instance, powers []float64, remaining 
 	// Maximality pass: the LP budgets are conservative (they reserve a
 	// gain-β/2 allowance per distance class), so requests rejected by the
 	// rounding may still fit at the exact gain β. Greedily add them,
-	// longest first; this only grows the class and preserves feasibility.
+	// longest first; this only grows the class and preserves feasibility
+	// (with the sparse engine's conservative margins, admission implies
+	// exact feasibility of the grown class).
 	inFinal := make(map[int]bool, len(final))
 	for _, j := range final {
 		inFinal[j] = true
@@ -190,38 +189,16 @@ func algorithmA(m sinr.Model, in *problem.Instance, powers []float64, remaining 
 		}
 	}
 	sort.Slice(rest, func(a, b int) bool { return in.Length(rest[a]) > in.Length(rest[b]) })
-	if tp != nil {
-		// Sparse path: the class lives in a conservative tracker (the
-		// probe engineFor already built). The final set is exactly
-		// feasible; augmentation only admits requests whose conservative
-		// margins hold, which implies exact feasibility of the grown
-		// class.
-		tr := probe //oblint:fresh the probe is freshly built by engineFor
-		for _, j := range final {
-			tr.Add(j)
-		}
-		for _, j := range rest {
-			if tr.CanAdd(j) {
-				tr.Add(j)
-			}
-		}
-		return tr.Members(), nil
-	}
-	cs := &classState{}
+	tr := eng.NewSetTracker(m, sinr.Bidirectional)
 	for _, j := range final {
-		own, adds, ok := cs.fits(m, in, sinr.Bidirectional, powers, cache, j)
-		if !ok {
-			// Cannot happen for a feasible set, but stay safe.
-			continue
-		}
-		cs.add(j, own, adds)
+		tr.Add(j)
 	}
 	for _, j := range rest {
-		if own, adds, ok := cs.fits(m, in, sinr.Bidirectional, powers, cache, j); ok {
-			cs.add(j, own, adds)
+		if tr.CanAdd(j) {
+			tr.Add(j)
 		}
 	}
-	return cs.members, nil
+	return tr.Members(), nil
 }
 
 // distanceClasses partitions the requests by length into geometric classes
@@ -261,30 +238,16 @@ func budget(m sinr.Model, in *problem.Instance, j int) float64 {
 	return 1 / (m.Beta * math.Sqrt(m.RequestLoss(in, j)))
 }
 
-// interferenceBounder is the set-query face of the sparse engine: a
-// conservative upper bound on the interference a set adds at a request's
-// endpoints. Budget checks run on it where the dense path would walk a
-// row — over-estimates only tighten the budgets, never break them.
-type interferenceBounder interface {
-	InterferenceBound(set []int, i int) (u, v float64)
-}
-
 // candidatesWithinBudget keeps the requests of class whose endpoints
 // currently receive at most their budget of interference from the already
-// selected shorter requests (the set C'_i of the paper). With a sparse
-// engine (ib non-nil) the interference is its conservative bound.
-func candidatesWithinBudget(m sinr.Model, in *problem.Instance, powers []float64, ib interferenceBounder, selected, class []int) []int {
+// selected shorter requests (the set C'_i of the paper). With the sparse
+// engine the interference is its conservative bound: over-estimates only
+// tighten the budgets, never break them.
+func candidatesWithinBudget(m sinr.Model, in *problem.Instance, eng affect.Engine, selected, class []int) []int {
 	var out []int
 	for _, j := range class {
 		b := budget(m, in, j)
-		var iu, iv float64
-		if ib != nil {
-			iu, iv = ib.InterferenceBound(selected, j)
-		} else {
-			iu = m.RequestInterferenceU(in, powers, selected, j)
-			iv = m.RequestInterferenceV(in, powers, selected, j)
-		}
-		if iu <= b && iv <= b {
+		if iu, iv := eng.InterferenceBound(selected, j); iu <= b && iv <= b {
 			out = append(out, j)
 		}
 	}
@@ -294,38 +257,18 @@ func candidatesWithinBudget(m sinr.Model, in *problem.Instance, powers []float64
 // conflictFree keeps a maximal subset of cand in which no two requests
 // have endpoints at distance zero from each other (e.g. tree edges sharing
 // a node): such requests can never be simultaneous, and their infinite
-// mutual interference must not reach the LP matrix. With a cache, a
-// zero-loss neighbor shows up as a non-finite affectance entry (powers are
-// positive for the square root assignment, so p/0 = +Inf).
-func conflictFree(m sinr.Model, in *problem.Instance, cache sinr.Cache, ib interferenceBounder, cand []int) []int {
-	pb, _ := ib.(pairBounder)
+// mutual interference must not reach the LP matrix. A zero-loss neighbor
+// shows up as a non-finite affectance (powers are positive for the square
+// root assignment, so p/0 = +Inf); the sparse engine stores such a pair
+// exactly, because it shares a grid cell.
+func conflictFree(eng affect.Engine, cand []int) []int {
 	var out []int
 	for _, j := range cand {
 		ok := true
-		if cache != nil {
-			rowU, rowV := cache.IntoU(j), cache.IntoV(j)
-			for _, k := range out {
-				if math.IsInf(rowU[k], 1) || math.IsInf(rowV[k], 1) || math.IsNaN(rowU[k]) || math.IsNaN(rowV[k]) {
-					ok = false
-					break
-				}
-			}
-		} else if pb != nil {
-			// Sparse engine: a zero-loss pair shares a grid cell, so its
-			// non-finite affectance is stored exactly and surfaces here.
-			for _, k := range out {
-				bu, bv := pb.PairBound(j, k)
-				if math.IsInf(bu, 1) || math.IsInf(bv, 1) || math.IsNaN(bu) || math.IsNaN(bv) {
-					ok = false
-					break
-				}
-			}
-		} else {
-			for _, k := range out {
-				if m.MinLossToNode(in, k, in.Reqs[j].U) == 0 || m.MinLossToNode(in, k, in.Reqs[j].V) == 0 {
-					ok = false
-					break
-				}
+		for _, k := range out {
+			if bu, bv := eng.PairBound(j, k); math.IsInf(bu, 1) || math.IsInf(bv, 1) || math.IsNaN(bu) || math.IsNaN(bv) {
+				ok = false
+				break
 			}
 		}
 		if ok {
@@ -339,8 +282,8 @@ func conflictFree(m sinr.Model, in *problem.Instance, cache sinr.Cache, ib inter
 // at every candidate endpoint, by solving the packing LP of Lemma 16 and
 // rounding, followed by an alteration step that repairs any violated budget
 // by dropping offenders.
-func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, cache sinr.Cache, ib interferenceBounder, selected, cand []int, rng *rand.Rand, stats *LPStats, opts LPOptions) ([]int, error) {
-	cand = conflictFree(m, in, cache, ib, cand)
+func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, eng affect.Engine, selected, cand []int, rng *rand.Rand, stats *LPStats, opts LPOptions) ([]int, error) {
+	cand = conflictFree(eng, cand)
 	if len(cand) == 0 {
 		return nil, nil
 	}
@@ -355,19 +298,23 @@ func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, cache sinr
 	// other candidates (weighted by x) must stay within 2^α times the
 	// budget — Claim 17's relaxation, which any gain-β feasible subset
 	// satisfies, so the LP optimum dominates s*_i. The matrix entries are
-	// exactly the affectance values, so with a cache the assembly is two
-	// row copies per candidate.
+	// exactly the affectance values: copied from the dense rows when the
+	// engine holds them — assembling from the model formula over the
+	// dense engine too ran lp 8% slower at n = 512 (471 → 508 ms median)
+	// — and computed by the formula otherwise, since a conservative
+	// engine's PairBound would change the LP.
+	denseRows, dense := eng.(affect.Rows)
 	relax := math.Pow(2, m.Alpha)
 	var rows [][]float64
 	var rhs []float64
 	for _, j := range cand {
 		for side := 0; side < 2; side++ {
 			var affRow []float64
-			if cache != nil {
+			if dense {
 				if side == 0 {
-					affRow = cache.IntoU(j)
+					affRow = denseRows.IntoU(j)
 				} else {
-					affRow = cache.IntoV(j)
+					affRow = denseRows.IntoV(j)
 				}
 			}
 			row := make([]float64, len(cand))
@@ -423,7 +370,7 @@ func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, cache sinr
 		}
 		picked = []int{cand[best]}
 	}
-	return repairBudget(m, in, powers, cache, ib, selected, picked), nil
+	return repairBudget(m, in, eng, selected, picked), nil
 }
 
 // repairBudget drops requests from picked until, at every endpoint of every
@@ -434,21 +381,13 @@ func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, cache sinr
 // interference on the other picked endpoints. With a sparse engine the
 // interference and the offender scores are its conservative bounds, which
 // can only drop more — the surviving set still meets the exact budgets.
-func repairBudget(m sinr.Model, in *problem.Instance, powers []float64, cache sinr.Cache, ib interferenceBounder, selected, picked []int) []int {
-	pb, _ := ib.(pairBounder)
+func repairBudget(m sinr.Model, in *problem.Instance, eng affect.Engine, selected, picked []int) []int {
 	for len(picked) > 0 {
 		all := append(append([]int(nil), selected...), picked...)
 		violated := false
 		for _, j := range picked {
 			b := 2 * budget(m, in, j) // full gain-β/2 allowance
-			var iu, iv float64
-			if ib != nil {
-				iu, iv = ib.InterferenceBound(all, j)
-			} else {
-				iu = m.RequestInterferenceU(in, powers, all, j)
-				iv = m.RequestInterferenceV(in, powers, all, j)
-			}
-			if iu > b || iv > b {
+			if iu, iv := eng.InterferenceBound(all, j); iu > b || iv > b {
 				violated = true
 				break
 			}
@@ -459,24 +398,11 @@ func repairBudget(m sinr.Model, in *problem.Instance, powers []float64, cache si
 		worst, worstScore := 0, math.Inf(-1)
 		for a, j := range picked {
 			var score float64
-			var fromU, fromV []float64
-			if cache != nil {
-				fromU, fromV = cache.FromU(j), cache.FromV(j)
-			}
 			for _, i := range picked {
 				if i == j {
 					continue
 				}
-				var cu, cv float64
-				switch {
-				case fromU != nil:
-					cu, cv = fromU[i], fromV[i]
-				case pb != nil:
-					cu, cv = pb.PairBound(i, j)
-				default:
-					cu = powers[j] / m.MinLossToNode(in, j, in.Reqs[i].U)
-					cv = powers[j] / m.MinLossToNode(in, j, in.Reqs[i].V)
-				}
+				cu, cv := eng.PairBound(i, j)
 				score += (cu + cv) * math.Sqrt(m.RequestLoss(in, i))
 			}
 			if score > worstScore {

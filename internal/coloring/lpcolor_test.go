@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/affect"
 	"repro/internal/geom"
 	"repro/internal/instance"
 	"repro/internal/power"
@@ -23,16 +24,17 @@ func TestConflictFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := conflictFree(m, in, nil, nil, []int{0, 1, 2})
+	eng := affect.NewDirect(m, sinr.Bidirectional, in, power.Powers(m, in, power.Sqrt()))
+	got := conflictFree(eng, []int{0, 1, 2})
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("conflictFree = %v, want [0 2]", got)
 	}
 	// Order matters: starting from 1 keeps 1 and drops 0.
-	got = conflictFree(m, in, nil, nil, []int{1, 0, 2})
+	got = conflictFree(eng, []int{1, 0, 2})
 	if len(got) != 2 || got[0] != 1 {
 		t.Errorf("conflictFree = %v, want [1 2]", got)
 	}
-	if got := conflictFree(m, in, nil, nil, nil); got != nil {
+	if got := conflictFree(eng, nil); got != nil {
 		t.Errorf("conflictFree(nil) = %v", got)
 	}
 }
@@ -90,7 +92,7 @@ func TestRepairBudgetEnforcesBudgets(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	picked := repairBudget(m, in, powers, nil, nil, nil, all)
+	picked := repairBudget(m, in, affect.NewDirect(m, sinr.Bidirectional, in, powers), nil, all)
 	if len(picked) == 0 {
 		t.Fatal("repair removed everything")
 	}
@@ -114,7 +116,7 @@ func TestCandidatesWithinBudgetExcludesOverloaded(t *testing.T) {
 	// With the middle request already selected, its direct neighbors sit at
 	// distance 0.5 and receive interference 1/0.5^α = 8, far above their
 	// budget of 1/(β·√ℓ) = 1.
-	got := candidatesWithinBudget(m, in, powers, nil, []int{1}, []int{0, 2})
+	got := candidatesWithinBudget(m, in, affect.NewDirect(m, sinr.Bidirectional, in, powers), []int{1}, []int{0, 2})
 	if len(got) != 0 {
 		t.Errorf("neighbors of a selected request at gap 0.5 should be over budget, got %v", got)
 	}
@@ -124,7 +126,7 @@ func TestCandidatesWithinBudgetExcludesOverloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	farPowers := power.Powers(m, far, power.Sqrt())
-	got = candidatesWithinBudget(m, far, farPowers, nil, []int{0}, []int{1})
+	got = candidatesWithinBudget(m, far, affect.NewDirect(m, sinr.Bidirectional, far, farPowers), []int{0}, []int{1})
 	if len(got) != 1 {
 		t.Errorf("distant request should stay within budget, got %v", got)
 	}

@@ -28,9 +28,6 @@ type Protocol struct {
 	MinProb float64
 	// MaxSlots aborts the simulation (0 means 64·n + 1024).
 	MaxSlots int
-	// NoCache disables the affectance cache the simulator otherwise
-	// attaches for its per-slot SINR success checks.
-	NoCache bool
 }
 
 // Default returns the protocol parameters used by the experiments: square
@@ -96,21 +93,22 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 	powers := power.Powers(m, in, p.Assignment)
 	// Every slot probes feasibility against the active set; precompute the
 	// affectance matrices once so those probes are row sums. A caller that
-	// pre-attached a covering engine (possibly the sparse grid one) wins.
-	if !p.NoCache && m.CacheFor(in, powers) == nil {
+	// pre-attached a covering engine (the sparse grid or the direct one)
+	// wins.
+	if m.CacheFor(in, powers) == nil {
 		m = m.WithCache(affect.New(m, sinr.Bidirectional, in, powers))
 	}
-	// When the attached engine exposes trackers instead of rows (the
-	// sparse engine materializes none), the per-slot success checks run on
-	// one recycled sinr.SetTracker: add the slot's active set, read each
-	// member's margin, Reset. Sparse margins are lower bounds on the exact
-	// ones, so a declared success is always a true success — the protocol
-	// stays correct, at worst a failed attempt is re-contended.
+	// When the attached engine is a tracker provider (sparse, direct), the
+	// per-slot success checks run on one recycled sinr.SetTracker: add the
+	// slot's active set, read each member's margin, Reset. Sparse margins
+	// are lower bounds on the exact ones, so a declared success is always
+	// a true success — the protocol stays correct, at worst a failed
+	// attempt is re-contended. The dense cache keeps the row-sum check
+	// below: running it on trackers measured 10–19% slower for build plus
+	// run at n = 512 and n = 2000.
 	var tracker sinr.SetTracker
-	if c := m.CacheFor(in, powers); c != nil {
-		if tp, ok := c.(sinr.TrackerProvider); ok {
-			tracker = tp.NewSetTracker(m, sinr.Bidirectional)
-		}
+	if tp, ok := m.CacheFor(in, powers).(sinr.TrackerProvider); ok {
+		tracker = tp.NewSetTracker(m, sinr.Bidirectional)
 	}
 	s := problem.NewSchedule(in.N())
 	copy(s.Powers, powers)

@@ -18,10 +18,11 @@
 //   - Protocol configures the scheme (assignment, probabilities, backoff,
 //     slot budget); Default returns the experiments' parameters.
 //   - Protocol.Run / RunContext simulate the protocol and report the
-//     induced Schedule plus Slots/Attempts/Failures counters. The
-//     simulator precomputes the affectance matrices (package affect) so
-//     each slot's SINR success checks are row sums; with a pre-attached
-//     sparse engine (sinr.TrackerProvider) the checks instead run on one
-//     recycled conservative tracker, so the protocol scales past the
-//     dense memory wall; NoCache restores the direct computation.
+//     induced Schedule plus Slots/Attempts/Failures counters. Unless the
+//     model carries a covering engine, the simulator precomputes the
+//     affectance matrices (package affect) so each slot's SINR success
+//     checks are row sums; a pre-attached tracker provider (the sparse
+//     engine, so the protocol scales past the dense memory wall, or the
+//     matrix-free direct engine with the cache off) runs the checks on
+//     one recycled sinr.SetTracker instead.
 package distributed

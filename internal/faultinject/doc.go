@@ -5,8 +5,9 @@
 // and the typed event stream reconciles with the engine's Stats — still
 // holds:
 //
-//   - WrapCache wraps any sinr.Cache as a fault-injecting
-//     sinr.TrackerProvider: transient NewSetTracker failures (exercising
+//   - WrapCache wraps an affectance engine (a dense cache or the sparse
+//     engine, taken through affect.EngineOf) as a fault-injecting
+//     affect.Engine: transient NewSetTracker failures (exercising
 //     the engine's WithRetry backoff ladder) and per-operation latency
 //     spikes on the returned trackers (exercising WithDeadline shedding
 //     and repair deferral);

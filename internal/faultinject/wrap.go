@@ -2,12 +2,11 @@ package faultinject
 
 import (
 	"repro/internal/affect"
-	"repro/internal/problem"
 	"repro/internal/sinr"
 )
 
-// Cache wraps an inner sinr.Cache as a fault-injecting
-// sinr.TrackerProvider. Row accessors pass through untouched — the
+// Cache wraps an affectance engine as a fault-injecting one. Everything
+// but the tracker factory passes through to the engine untouched — the
 // faults live in the tracker machinery, where the online engine spends
 // its time:
 //
@@ -19,92 +18,39 @@ import (
 //     may take a latency spike, exercising deadline shedding and repair
 //     deferral.
 //
-// When the inner cache is itself a TrackerProvider (the sparse engine),
-// its trackers are wrapped; otherwise dense affect.Trackers are built
-// over the inner cache — provided it carries the variant's matrices
-// (affect.NewTracker panics on a variant-less cache, so WrapCache
-// refuses those with nil instead).
+// The wrapper is itself an affect.Engine for the inner engine's variant,
+// so affect.Resolve hands it to the consumers as is.
 type Cache struct {
-	inner sinr.Cache
-	inj   *Injector
+	affect.Engine
+	inj *Injector
 }
 
 // WrapCache wraps the cache with the injector's faults. The inner cache
-// must either implement sinr.TrackerProvider or carry at least one
-// variant's matrices; otherwise there is no tracker machinery to
-// attack and WrapCache returns nil.
+// is taken through affect.EngineOf — a dense cache through its row
+// adapter, a sparse engine as is; anything else has no tracker machinery
+// to attack, and WrapCache returns nil.
 func WrapCache(inner sinr.Cache, inj *Injector) *Cache {
-	if inner == nil || inj == nil {
+	eng := affect.EngineOf(inner)
+	if eng == nil || inj == nil {
 		return nil
 	}
-	if _, ok := inner.(sinr.TrackerProvider); !ok {
-		if inner.DirectedInto(0) == nil && inner.IntoU(0) == nil {
-			return nil
-		}
-	}
-	return &Cache{inner: inner, inj: inj}
+	return &Cache{Engine: eng, inj: inj}
 }
-
-// Covers delegates to the inner cache.
-func (c *Cache) Covers(in *problem.Instance, alpha float64, powers []float64) bool {
-	return c.inner.Covers(in, alpha, powers)
-}
-
-// DirectedInto delegates to the inner cache.
-func (c *Cache) DirectedInto(i int) []float64 { return c.inner.DirectedInto(i) }
-
-// DirectedFrom delegates to the inner cache.
-func (c *Cache) DirectedFrom(j int) []float64 { return c.inner.DirectedFrom(j) }
-
-// IntoU delegates to the inner cache.
-func (c *Cache) IntoU(i int) []float64 { return c.inner.IntoU(i) }
-
-// IntoV delegates to the inner cache.
-func (c *Cache) IntoV(i int) []float64 { return c.inner.IntoV(i) }
-
-// FromU delegates to the inner cache.
-func (c *Cache) FromU(j int) []float64 { return c.inner.FromU(j) }
-
-// FromV delegates to the inner cache.
-func (c *Cache) FromV(j int) []float64 { return c.inner.FromV(j) }
-
-// Signals delegates to the inner cache.
-func (c *Cache) Signals() []float64 { return c.inner.Signals() }
-
-// Losses delegates to the inner cache.
-func (c *Cache) Losses() []float64 { return c.inner.Losses() }
 
 // NewSetTracker implements sinr.TrackerProvider: it consults the
 // injector first (an armed injector may fail the call, modelling a
-// transient allocation or backend failure), then builds the real
-// tracker — through the inner provider when there is one, or as a dense
-// affect.Tracker over the inner cache — and wraps it with the
-// injector's latency faults. It returns nil on an injected failure, on
-// an inner-provider refusal, or when the inner cache lacks the
-// variant's matrices.
+// transient allocation or backend failure), then builds the inner
+// engine's tracker and wraps it with the injector's latency faults. It
+// returns nil on an injected failure or an inner-engine refusal.
 func (c *Cache) NewSetTracker(m sinr.Model, v sinr.Variant) sinr.SetTracker {
 	if c.inj.failTracker() {
 		return nil
 	}
-	var tr sinr.SetTracker
-	if tp, ok := c.inner.(sinr.TrackerProvider); ok {
-		tr = tp.NewSetTracker(m, v)
-	} else if hasVariant(c.inner, v) {
-		tr = affect.NewTracker(m, v, c.inner)
-	}
+	tr := c.Engine.NewSetTracker(m, v)
 	if tr == nil {
 		return nil
 	}
 	return &Tracker{inner: tr, inj: c.inj}
-}
-
-// hasVariant reports whether the cache carries the matrices the dense
-// tracker needs for the variant (affect.NewTracker panics otherwise).
-func hasVariant(c sinr.Cache, v sinr.Variant) bool {
-	if v == sinr.Directed {
-		return c.DirectedInto(0) != nil
-	}
-	return c.IntoU(0) != nil
 }
 
 // Tracker wraps a sinr.SetTracker with the injector's latency faults:

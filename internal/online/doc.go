@@ -7,10 +7,11 @@
 // PODC 2009) are batch: all requests are known up front and colored once.
 // A deployed MAC layer sees the opposite regime — continuous churn — and
 // this package closes that gap on top of the incremental machinery of
-// package affect: the Engine keeps one affect.Tracker per slot (color),
-// so admission probes, departures, and repair migrations are all
-// incremental accumulator updates against the precomputed affectance
-// matrices.
+// package affect: the Engine keeps one sinr.SetTracker per slot (color)
+// from the engine affect.Resolve picks — the precomputed dense matrices,
+// or a sparse grid engine the model carries — so admission probes,
+// departures, and repair migrations are all incremental accumulator
+// updates.
 //
 // Three admission policies decide where an arrival lands (FirstFit,
 // BestFit, PowerFit — the last preserving the longest-first discipline of

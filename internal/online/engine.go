@@ -14,10 +14,11 @@ import (
 
 // Engine maintains a feasible multi-slot schedule for a fixed instance
 // under a stream of Arrive/Depart events, without ever recomputing from
-// scratch. Each slot is an affect.Tracker over the instance's precomputed
-// affectance matrices, so an arrival costs one O(|slot|) feasibility probe
-// per examined slot and a departure one O(|slot|) accumulator update —
-// versus the O(n²·colors) of re-running a batch solver per event.
+// scratch. Each slot is a sinr.SetTracker of the instance's affectance
+// engine (the dense matrices or the sparse grid), so an arrival costs one
+// O(|slot|) feasibility probe per examined slot and a departure one
+// O(|slot|) accumulator update — versus the O(n²·colors) of re-running a
+// batch solver per event.
 //
 // Every mutation preserves the invariant that each slot passes its
 // tracker's SetFeasible: admission only places a request where CanAdd
@@ -29,12 +30,12 @@ type Engine struct {
 	v      sinr.Variant
 	in     *problem.Instance
 	powers []float64
-	cache  sinr.Cache
-	// provider is non-nil when the model carried a sparse affectance
-	// engine: slots then run on its conservative trackers instead of the
-	// dense row-backed ones, so the engine never needs the n×n matrices.
-	provider sinr.TrackerProvider
-	lens     []float64 // request lengths, for the power-fit order
+	// eng hands out the slot trackers: the engine the model carried for
+	// the variant (a sparse engine runs the slots on its conservative
+	// trackers, so the n×n matrices are never built), else the dense
+	// matrices.
+	eng  affect.Engine
+	lens []float64 // request lengths, for the power-fit order
 
 	slots  []*slot
 	free   []sinr.SetTracker // recycled trackers (Reset, not reallocated)
@@ -138,10 +139,12 @@ func WithThreshold(frac float64) Option { return func(e *Engine) { e.threshold =
 func WithObserver(c *obs.Collector) Option { return func(e *Engine) { e.setObserver(c) } }
 
 // New builds an engine for the given model, instance, variant and powers.
-// If the model carries an affectance cache covering (instance, powers) for
-// the variant it is reused — SolveAll batch stores thread through here —
-// otherwise the matrices are built once, which is the only super-linear
-// cost of the engine's lifetime.
+// If the model carries an affectance engine covering (instance, powers)
+// for the variant it is reused — SolveAll batch stores thread through
+// here — otherwise the dense matrices are built once, which is the only
+// super-linear cost of the engine's lifetime. A matrix-free Direct engine
+// is not reused: the slot trackers are the engine's core data structure,
+// so they get the matrices even under WithAffectanceCache(false).
 func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, opts ...Option) (*Engine, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -196,27 +199,11 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 	if e.repairBudget < 1 {
 		return nil, fmt.Errorf("online: repair budget must be ≥ 1, got %d", e.repairBudget)
 	}
-	e.cache = m.CacheFor(in, e.powers)
-	if tp, ok := e.cache.(sinr.TrackerProvider); ok {
-		if tr := tp.NewSetTracker(m, v); tr != nil {
-			e.provider = tp
-			e.free = append(e.free, tr) // the probe tracker is the first slot's
-		}
-	}
-	if e.provider == nil && (e.cache == nil || !cacheHasVariant(e.cache, v)) {
-		e.cache = affect.New(m, v, in, e.powers)
+	e.eng = affect.Resolve(m, v, in, e.powers)
+	if _, direct := e.eng.(*affect.Direct); direct {
+		e.eng = affect.Resolve(m.WithCache(affect.New(m, v, in, e.powers)), v, in, e.powers)
 	}
 	return e, nil
-}
-
-// cacheHasVariant reports whether the cache carries the matrices the
-// tracker needs for the variant (a covering cache of the other variant
-// must not be reused).
-func cacheHasVariant(c sinr.Cache, v sinr.Variant) bool {
-	if v == sinr.Directed {
-		return c.DirectedInto(0) != nil
-	}
-	return c.IntoU(0) != nil
 }
 
 // --- accessors ---
@@ -640,21 +627,18 @@ func (e *Engine) renumber() {
 
 // newTracker returns an empty slot tracker: a pooled one (Reset by
 // recycle on the way in) when available, else a fresh one from the
-// provider or the dense constructor. A provider that transiently fails
-// (returns nil) is retried with exponential backoff up to the WithRetry
-// budget — rung 3 of the degradation ladder — and nil is returned only
-// once the budget is exhausted; Arrive translates that into
-// ErrTrackerUnavailable without mutating any state.
+// affectance engine. An engine that transiently fails (returns nil) is
+// retried with exponential backoff up to the WithRetry budget — rung 3
+// of the degradation ladder — and nil is returned only once the budget
+// is exhausted; Arrive translates that into ErrTrackerUnavailable
+// without mutating any state.
 func (e *Engine) newTracker() sinr.SetTracker {
 	if n := len(e.free); n > 0 {
 		tr := e.free[n-1]
 		e.free = e.free[:n-1]
 		return tr
 	}
-	if e.provider == nil {
-		return affect.NewTracker(e.m, e.v, e.cache)
-	}
-	tr := e.provider.NewSetTracker(e.m, e.v)
+	tr := e.eng.NewSetTracker(e.m, e.v)
 	backoff := e.retryBackoff
 	for attempt := 0; tr == nil && attempt < e.retryAttempts; attempt++ {
 		e.stats.Retries++
@@ -663,7 +647,7 @@ func (e *Engine) newTracker() sinr.SetTracker {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		tr = e.provider.NewSetTracker(e.m, e.v)
+		tr = e.eng.NewSetTracker(e.m, e.v)
 	}
 	return tr
 }

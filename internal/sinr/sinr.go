@@ -91,10 +91,11 @@ type Cache interface {
 // SetTracker is the incremental set-feasibility engine the schedulers
 // drive: it maintains one simultaneously transmitting set and answers
 // membership, margin and admission queries without re-scanning the set
-// from scratch. Package affect provides the exact dense implementation
-// (affect.Tracker); package affect/sparse provides a conservative
-// grid-bucketed one whose margins are lower bounds on the true margins,
-// so a set it accepts is always truly feasible.
+// from scratch. Package affect provides the exact implementations (over
+// the dense matrices, and the matrix-free direct engine's); package
+// affect/sparse provides a conservative grid-bucketed one whose margins
+// are lower bounds on the true margins, so a set it accepts is always
+// truly feasible.
 //
 // Implementations are not safe for concurrent use.
 type SetTracker interface {
@@ -127,16 +128,17 @@ type SetTracker interface {
 	WorstMargin() (float64, int)
 }
 
-// TrackerProvider is the hook through which an affectance engine that does
-// not materialize full rows (the sparse engine) exposes its incremental
-// feasibility machinery. A cache that implements it is consumed through
-// trackers; its row accessors may return nil, and row-walking query paths
-// must check this interface before streaming rows.
+// TrackerProvider is the hook through which an affectance engine exposes
+// its incremental feasibility machinery. Every engine package affect
+// resolves implements it — the dense matrices through their row adapter,
+// the sparse grid engine, the matrix-free direct engine — and consumers
+// take their engine from affect.Resolve rather than probing caches for
+// rows.
 //
 // NewSetTracker returns a fresh empty tracker for the model's gain and
 // noise under the given variant, or nil when the engine was not built for
-// that variant (or the model's path-loss exponent differs) — callers fall
-// back to the direct computation in that case.
+// that variant (or the model's path-loss exponent differs); a
+// fault-injecting wrapper may also return nil transiently.
 type TrackerProvider interface {
 	NewSetTracker(m Model, v Variant) SetTracker
 }

@@ -17,9 +17,9 @@
 //     ThinToGain back in the original metric (Proposition 3). Run
 //     extracts one color class with per-stage PipelineStats;
 //     Coloring/ColoringWithStats iterate it into a complete schedule.
-//     The final thinning stage precomputes an affectance engine for
-//     large kept sets (disable with Pipeline.NoCache); Pipeline.Engine
-//     chooses how it is built — the exact dense cache by default, the
-//     sparse grid engine via the solver layer — and the thinning
-//     consumes either transparently through sinr.SetTracker.
+//     The final thinning stage builds an affectance engine for large
+//     kept sets; Pipeline.Engine chooses how — the exact dense cache by
+//     default, the sparse grid or the matrix-free direct engine via the
+//     solver layer — and the thinning consumes any of them through
+//     sinr.SetTracker.
 package treestar

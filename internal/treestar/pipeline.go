@@ -26,15 +26,6 @@ import (
 // the bidirectional variant.
 type CacheBuilder func(m sinr.Model, in *problem.Instance, powers []float64) (sinr.Cache, error)
 
-// engineFor resolves the stage-5 affectance engine: the Engine hook when
-// set, the dense cache otherwise.
-func (p Pipeline) engineFor(m sinr.Model, in *problem.Instance, powers []float64) (sinr.Cache, error) {
-	if p.Engine != nil {
-		return p.Engine(m, in, powers)
-	}
-	return affect.New(m, sinr.Bidirectional, in, powers), nil
-}
-
 // stage runs f as one pipeline stage under a span "pipeline/<name>"
 // from the context's collector and a pprof label stage=<name>, so the
 // span histograms and CPU profile samples attribute cost to the same
@@ -205,23 +196,25 @@ func (p Pipeline) runCtx(ctx context.Context, m sinr.Model, in *problem.Instance
 
 	// Stage 5 (Lemma 8 / Proposition 3): thin to the full bidirectional
 	// gain in the original metric under the square root assignment. For
-	// kept sets large enough that the O(|pairs|²)-per-round thinning
-	// dominates the engine build, precompute the affectance engine so the
-	// thinning runs on the incremental tracker — the Engine hook picks
-	// dense rows or the sparse grid per restricted instance; the thinning
-	// consumes either transparently through sinr.SetTracker.
+	// kept sets large enough that the O(|pairs|²) thinning dominates the
+	// engine build, build the affectance engine first — the Engine hook
+	// picks dense rows, the sparse grid or the direct engine per
+	// restricted instance, the dense cache by default; smaller sets thin
+	// on the direct engine the thinning resolves itself.
 	var final []int
 	if err := stage(ctx, "stage5", func() error {
 		powers := power.Powers(m, in, power.Sqrt())
 		mThin := m
-		if !p.NoCache && len(pairs) >= 32 {
-			c, err := p.engineFor(m, in, powers)
-			if err != nil {
+		var err error
+		if len(pairs) >= 32 {
+			var c sinr.Cache
+			if p.Engine == nil {
+				c = affect.New(m, sinr.Bidirectional, in, powers)
+			} else if c, err = p.Engine(m, in, powers); err != nil {
 				return err
 			}
 			mThin = m.WithCache(c)
 		}
-		var err error
 		final, err = coloring.ThinToGainCtx(ctx, mThin, in, sinr.Bidirectional, powers, pairs, m.Beta, &ar.thin)
 		if err != nil {
 			return err

@@ -646,12 +646,10 @@ type Pipeline struct {
 	// Faithful selects the worst-case parameterized star selection inside
 	// the tree stage (see TreeOptions.Faithful).
 	Faithful bool
-	// NoCache disables the affectance cache the final thinning stage
-	// otherwise builds for large kept sets.
-	NoCache bool
-	// Engine overrides how that stage-5 affectance engine is built (see
-	// CacheBuilder); nil selects the exact dense cache. Solvers route the
-	// sparse grid engine through it so the pipeline scales past the dense
-	// O(n²) memory wall.
+	// Engine overrides how the affectance engine the final thinning stage
+	// builds for large kept sets is built (see CacheBuilder); nil selects
+	// the exact dense cache. Solvers route the sparse grid engine through
+	// it so the pipeline scales past the dense O(n²) memory wall, and the
+	// matrix-free direct engine when the affectance cache is off.
 	Engine CacheBuilder
 }

@@ -44,12 +44,10 @@
 //
 // Solvers(), Register and ParseAssignment round out the registry: CLIs
 // resolve -algo and -power flags through them, and external packages can
-// register additional solvers. The free Schedule* functions below are the
-// pre-registry API, kept as deprecated wrappers.
+// register additional solvers.
 package oblivious
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/coloring"
@@ -144,49 +142,10 @@ func PowersFor(m Model, in *Instance, a Assignment) []float64 {
 	return power.Powers(m, in, a)
 }
 
-// ScheduleGreedy colors the instance by greedy first-fit under the given
-// oblivious power assignment (longest request first).
-//
-// Deprecated: use Lookup("greedy").Solve with WithVariant and
-// WithAssignment.
-func ScheduleGreedy(m Model, in *Instance, v Variant, a Assignment) (*Schedule, error) {
-	res, err := Lookup("greedy").Solve(context.Background(), m, in, WithVariant(v), WithAssignment(a))
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
 // ScheduleGreedyPowers colors the instance by greedy first-fit under an
 // arbitrary per-request power vector.
 func ScheduleGreedyPowers(m Model, in *Instance, v Variant, powers []float64) (*Schedule, error) {
 	return coloring.GreedyFirstFit(m, in, v, powers, nil)
-}
-
-// ScheduleLP runs the randomized LP-based coloring for the bidirectional
-// problem under the square root assignment (Theorem 15). The seed makes
-// runs reproducible.
-//
-// Deprecated: use Lookup("lp").Solve with WithSeed.
-func ScheduleLP(m Model, in *Instance, seed int64) (*Schedule, *LPStats, error) {
-	res, err := Lookup("lp").Solve(context.Background(), m, in, WithSeed(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Schedule, res.Stats.LP, nil
-}
-
-// SchedulePipeline colors the bidirectional instance with the constructive
-// Theorem 2 pipeline (tree embeddings, centroid stars, thinning) under the
-// square root assignment.
-//
-// Deprecated: use Lookup("pipeline").Solve with WithSeed.
-func SchedulePipeline(m Model, in *Instance, seed int64) (*Schedule, error) {
-	res, err := Lookup("pipeline").Solve(context.Background(), m, in, WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
 }
 
 // Validate checks a complete schedule against the SINR constraints and
@@ -219,21 +178,6 @@ func MaxSimultaneous(m Model, in *Instance, v Variant, a Assignment) []int {
 // observation made constructive). The input schedule is not modified.
 func LiftToNoise(m Model, in *Instance, v Variant, s *Schedule, nu float64) (*Schedule, error) {
 	return m.LiftSchedule(in, v, s, nu)
-}
-
-// ScheduleDistributed runs a fully distributed slotted decay protocol under
-// the square root assignment (the experimental answer to the paper's
-// Section 6 open question) and returns the induced feasible schedule
-// together with the number of contention slots the protocol needed.
-//
-// Deprecated: use Lookup("distributed").Solve with WithSeed; the slot
-// count is Result.Stats.Slots.
-func ScheduleDistributed(m Model, in *Instance, seed int64) (*Schedule, int, error) {
-	res, err := Lookup("distributed").Solve(context.Background(), m, in, WithSeed(seed))
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Schedule, res.Stats.Slots, nil
 }
 
 // MaxSimultaneousLP runs the LP-guided one-shot capacity maximizer of

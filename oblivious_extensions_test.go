@@ -1,14 +1,18 @@
 package oblivious
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestLiftToNoiseEndToEnd(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
-	s, err := ScheduleGreedy(m, in, Bidirectional, Sqrt())
+	res, err := Lookup("greedy").Solve(context.Background(), m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := res.Schedule
 	lifted, err := LiftToNoise(m, in, Bidirectional, s, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -29,10 +33,11 @@ func TestLiftToNoiseEndToEnd(t *testing.T) {
 func TestScheduleDistributedEndToEnd(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
-	s, slots, err := ScheduleDistributed(m, in, 5)
+	res, err := Lookup("distributed").Solve(context.Background(), m, in, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, slots := res.Schedule, res.Stats.Slots
 	if err := Validate(m, in, Bidirectional, s); err != nil {
 		t.Errorf("distributed schedule invalid: %v", err)
 	}
@@ -40,10 +45,11 @@ func TestScheduleDistributedEndToEnd(t *testing.T) {
 		t.Errorf("slots %d below colors %d", slots, s.NumColors())
 	}
 	// Determinism for a fixed seed.
-	s2, slots2, err := ScheduleDistributed(m, in, 5)
+	res2, err := Lookup("distributed").Solve(context.Background(), m, in, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2, slots2 := res2.Schedule, res2.Stats.Slots
 	if slots != slots2 {
 		t.Error("distributed protocol not deterministic for a fixed seed")
 	}

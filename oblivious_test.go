@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -73,11 +74,11 @@ func TestScheduleGreedyEndToEnd(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
 	for _, v := range []Variant{Directed, Bidirectional} {
-		s, err := ScheduleGreedy(m, in, v, Sqrt())
+		res, err := Lookup("greedy").Solve(context.Background(), m, in, WithVariant(v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(m, in, v, s); err != nil {
+		if err := Validate(m, in, v, res.Schedule); err != nil {
 			t.Errorf("%v: %v", v, err)
 		}
 	}
@@ -98,10 +99,11 @@ func TestScheduleGreedyPowers(t *testing.T) {
 func TestScheduleLPEndToEnd(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
-	s, stats, err := ScheduleLP(m, in, 1)
+	res, err := Lookup("lp").Solve(context.Background(), m, in, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, stats := res.Schedule, res.Stats.LP
 	if err := Validate(m, in, Bidirectional, s); err != nil {
 		t.Error(err)
 	}
@@ -109,10 +111,11 @@ func TestScheduleLPEndToEnd(t *testing.T) {
 		t.Error("no rounds recorded")
 	}
 	// Determinism: same seed, same coloring.
-	s2, _, err := ScheduleLP(m, in, 1)
+	res2, err := Lookup("lp").Solve(context.Background(), m, in, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := res2.Schedule
 	for i := range s.Colors {
 		if s.Colors[i] != s2.Colors[i] {
 			t.Fatal("LP coloring not deterministic for a fixed seed")
@@ -123,11 +126,11 @@ func TestScheduleLPEndToEnd(t *testing.T) {
 func TestSchedulePipelineEndToEnd(t *testing.T) {
 	in := fourLinks(t)
 	m := DefaultModel()
-	s, err := SchedulePipeline(m, in, 1)
+	res, err := Lookup("pipeline").Solve(context.Background(), m, in, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(m, in, Bidirectional, s); err != nil {
+	if err := Validate(m, in, Bidirectional, res.Schedule); err != nil {
 		t.Error(err)
 	}
 }

@@ -37,18 +37,21 @@ func TestScale512(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := oblivious.ScheduleGreedy(m, in, oblivious.Bidirectional, oblivious.Sqrt())
+	ctx := context.Background()
+	gr, err := oblivious.Lookup("greedy").Solve(ctx, m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := gr.Schedule
 	if err := oblivious.Validate(m, in, oblivious.Bidirectional, g); err != nil {
 		t.Errorf("greedy@512 invalid: %v", err)
 	}
 
-	lp, _, err := oblivious.ScheduleLP(m, in, 1)
+	lr, err := oblivious.Lookup("lp").Solve(ctx, m, in, oblivious.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp := lr.Schedule
 	if err := oblivious.Validate(m, in, oblivious.Bidirectional, lp); err != nil {
 		t.Errorf("LP@512 invalid: %v", err)
 	}
@@ -56,10 +59,11 @@ func TestScale512(t *testing.T) {
 		t.Errorf("LP colors %d far above greedy %d at scale", lp.NumColors(), g.NumColors())
 	}
 
-	d, err := oblivious.ScheduleGreedy(m, in, oblivious.Directed, oblivious.Sqrt())
+	dr, err := oblivious.Lookup("greedy").Solve(ctx, m, in, oblivious.WithVariant(oblivious.Directed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := dr.Schedule
 	if err := oblivious.Validate(m, in, oblivious.Directed, d); err != nil {
 		t.Errorf("directed greedy@512 invalid: %v", err)
 	}

@@ -62,9 +62,9 @@ type Stats struct {
 	// require an engine, reports "dense" even with the cache option off
 	// because that is what it builds; and the pipeline re-resolves the
 	// mode per restricted instance it extracts a class from (and thins
-	// kept sets below 32 directly), so "sparse" there means the selection
-	// at the full instance, with the shrinking tail free to drop to
-	// dense under auto.
+	// kept sets below 32 on the direct engine), so "sparse" there means
+	// the selection at the full instance, with the shrinking tail free to
+	// drop to dense under auto.
 	Engine string
 	// LP carries the LP-based coloring diagnostics (lp solver only).
 	LP *LPStats
@@ -109,8 +109,8 @@ type Options struct {
 	Parallelism int
 	// Affectance enables the precomputed affectance cache (package
 	// affect) on the solver's SINR hot path. On by default; disable with
-	// WithAffectanceCache(false) to run every interference query through
-	// the direct oracle computation.
+	// WithAffectanceCache(false) to run every interference query on the
+	// matrix-free direct engine, which computes each pair on demand.
 	Affectance bool
 	// Mode selects between the dense n×n affectance engine, the sparse
 	// spatially-bucketed one, and automatic selection by instance size
@@ -265,13 +265,14 @@ func WithValidation(on bool) Option { return func(o *Options) { o.Validate = on 
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithAffectanceCache toggles the precomputed affectance engine on the
-// SINR hot path (default on). The cache never changes results — cached and
-// uncached interference queries agree bitwise — so turning it off is only
-// useful for measuring its effect or bounding memory (the matrices take
-// O(n²) floats per instance). The online solver is the exception: its
-// per-slot trackers are built on the matrices, so it always constructs a
-// cache and this option only controls whether the cache is shared with a
-// SolveAll batch store.
+// SINR hot path (default on). Off, the solvers run on the matrix-free
+// direct engine (affect.Direct), which computes every pair on demand with
+// the formulas the matrices are filled with — the results agree bitwise —
+// so turning it off is only useful for measuring the cache's effect or
+// bounding memory (the matrices take O(n²) floats per instance). The
+// online solver is the exception: its per-slot trackers are built on the
+// matrices, so it always constructs a cache and this option only controls
+// whether the cache is shared with a SolveAll batch store.
 func WithAffectanceCache(on bool) Option { return func(o *Options) { o.Affectance = on } }
 
 // WithAffectanceMode selects the affectance engine: AffectDense for the
@@ -347,12 +348,16 @@ var sparseBuild = sparse.For
 const fallbackDenseBytes = int64(2) << 30
 
 // buildEngine constructs the affectance engine the resolved mode selects
-// for (instance, variant, powers). It is the single mode→constructor
-// mapping: attachCache and the pipeline's per-sub-instance stage-5
-// builder both go through it, so the two cannot diverge. The batch store
-// dedupes dense matrices only; a sparse engine is cheap relative to the
-// solves that select it, so each build is per-solve.
+// for (instance, variant, powers) — the matrix-free direct engine when the
+// cache is off. It is the single mode→constructor mapping: attachCache and
+// the pipeline's per-sub-instance stage-5 builder both go through it, so
+// the two cannot diverge. The batch store dedupes dense matrices only; a
+// sparse engine is cheap relative to the solves that select it, so each
+// build is per-solve.
 func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64) (sinr.Cache, error) {
+	if !o.Affectance {
+		return affect.NewDirect(m, v, in, powers), nil
+	}
 	isSparse := o.Mode.Resolve(in, o.Epsilon) == AffectSparse
 	var start time.Time
 	if o.Obs.Enabled() {
@@ -435,9 +440,6 @@ func (o Options) attachCache(m Model, in *Instance, v Variant, powers []float64)
 		// Rejected up front, regardless of which engine the mode resolves
 		// to — the same option must not validate size-dependently.
 		return m, fmt.Errorf("epsilon must be ≥ 0, got %g", o.Epsilon)
-	}
-	if !o.Affectance {
-		return m, nil
 	}
 	c, err := o.buildEngine(m, in, v, powers)
 	if err != nil {
@@ -780,7 +782,7 @@ func solveLP(ctx context.Context, m Model, in *Instance, o Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	s, stats, err := coloring.SqrtLPColoringCtx(ctx, m, in, rand.New(rand.NewSource(o.Seed)), coloring.LPOptions{NoCache: !o.Affectance})
+	s, stats, err := coloring.SqrtLPColoringCtx(ctx, m, in, rand.New(rand.NewSource(o.Seed)), coloring.LPOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -802,22 +804,19 @@ func solvePipeline(ctx context.Context, m Model, in *Instance, o Options) (*Resu
 	if err := requireSqrtBidirectional(o); err != nil {
 		return nil, err
 	}
-	pipe := treestar.Pipeline{NoCache: !o.Affectance}
-	if o.Affectance {
-		// Forcing sparse on a metric without coordinates must fail loudly
-		// up front — the stage-5 builder only runs for kept sets of 32+, so
-		// a small instance would otherwise slip through the forced mode.
-		if o.Mode.Resolve(in, o.Epsilon) == AffectSparse && !sparse.Supported(in.Space) {
-			return nil, sparse.ErrUnsupportedMetric
-		}
-		// The sub-instances are fresh per solve, so routing them through
-		// the SolveAll batch store would only accumulate dead entries.
-		sub := o
-		sub.caches = nil
-		pipe.Engine = func(mm sinr.Model, subIn *Instance, powers []float64) (sinr.Cache, error) {
-			return sub.buildEngine(mm, subIn, Bidirectional, powers)
-		}
+	// Forcing sparse on a metric without coordinates must fail loudly up
+	// front — the stage-5 builder only runs for kept sets of 32+, so a
+	// small instance would otherwise slip through the forced mode.
+	if o.Affectance && o.Mode.Resolve(in, o.Epsilon) == AffectSparse && !sparse.Supported(in.Space) {
+		return nil, sparse.ErrUnsupportedMetric
 	}
+	// The sub-instances are fresh per solve, so routing them through the
+	// SolveAll batch store would only accumulate dead entries.
+	sub := o
+	sub.caches = nil
+	pipe := treestar.Pipeline{Engine: func(mm sinr.Model, subIn *Instance, powers []float64) (sinr.Cache, error) {
+		return sub.buildEngine(mm, subIn, Bidirectional, powers)
+	}}
 	s, stats, err := pipe.ColoringWithStats(ctx, m, in, rand.New(rand.NewSource(o.Seed)))
 	if err != nil {
 		return nil, err
@@ -833,16 +832,12 @@ func solveDistributed(ctx context.Context, m Model, in *Instance, o Options) (*R
 	}
 	p := distributed.Default()
 	p.Assignment = o.Assignment
-	p.NoCache = !o.Affectance
-	if o.Affectance {
-		// Pre-attach from the batch store so repeated simulations of one
-		// instance share the matrices; RunContext skips its own build when
-		// the model already carries a covering cache.
-		var err error
-		m, err = o.attachCache(m, in, Bidirectional, power.Powers(m, in, o.Assignment))
-		if err != nil {
-			return nil, err
-		}
+	// Pre-attach from the batch store so repeated simulations of one
+	// instance share the matrices; RunContext skips its own build when the
+	// model already carries a covering engine.
+	m, err := o.attachCache(m, in, Bidirectional, power.Powers(m, in, o.Assignment))
+	if err != nil {
+		return nil, err
 	}
 	res, err := p.RunContext(ctx, m, in, rand.New(rand.NewSource(o.Seed)))
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/affect"
 	"repro/internal/affect/sparse"
 	"repro/internal/coloring"
 	"repro/internal/distributed"
@@ -201,23 +202,6 @@ func TestSolverVariantGuards(t *testing.T) {
 	if _, err := Lookup("greedy").Solve(context.Background(), m, in,
 		WithVariant(Directed), WithAssignment(Uniform(1)), WithValidation(true)); err != nil {
 		t.Errorf("greedy directed uniform: %v", err)
-	}
-}
-
-func TestSolveMatchesDeprecatedWrappers(t *testing.T) {
-	m := DefaultModel()
-	in := fourLinks(t)
-	old, oldStats, err := ScheduleLP(m, in, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Lookup("lp").Solve(context.Background(), m, in, WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.NumColors() != res.Schedule.NumColors() || oldStats.LPSolves != res.Stats.LP.LPSolves {
-		t.Errorf("wrapper and solver disagree: %d/%d colors, %d/%d solves",
-			old.NumColors(), res.Schedule.NumColors(), oldStats.LPSolves, res.Stats.LP.LPSolves)
 	}
 }
 
@@ -418,39 +402,42 @@ func TestParseAssignmentPublic(t *testing.T) {
 	}
 }
 
-// TestWithAffectanceCacheParity runs every solver with the affectance
-// cache on (the default) and off, and checks the cache changes nothing:
-// greedy is deterministic and must match color for color; the randomized
-// solvers must produce valid schedules in both modes with the same seed.
+// TestWithAffectanceCacheParity runs every registry solver with the
+// affectance cache on (the default, dense at these sizes) and off (the
+// matrix-free direct engine) on a seeded uniform/clustered corpus, and
+// checks the cache changes nothing: colors and powers agree bitwise,
+// request for request, for every solver and seed.
 func TestWithAffectanceCacheParity(t *testing.T) {
 	m := DefaultModel()
-	in, err := instance.UniformRandom(rand.New(rand.NewSource(8)), 50, 150, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := Lookup("greedy").Solve(context.Background(), m, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Lookup("greedy").Solve(context.Background(), m, in, WithAffectanceCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range on.Schedule.Colors {
-		if on.Schedule.Colors[i] != off.Schedule.Colors[i] {
-			t.Fatalf("greedy: request %d colored %d with cache, %d without",
-				i, on.Schedule.Colors[i], off.Schedule.Colors[i])
-		}
-	}
-	for _, name := range Solvers() {
-		for _, cached := range []bool{true, false} {
-			res, err := Lookup(name).Solve(context.Background(), m, in,
-				WithSeed(5), WithAffectanceCache(cached), WithValidation(true))
+	for _, n := range []int{40, 120} {
+		for seed := int64(1); seed <= 3; seed++ {
+			uniform, err := instance.UniformRandom(rand.New(rand.NewSource(seed)), n, 300, 1, 8)
 			if err != nil {
-				t.Fatalf("%s cached=%t: %v", name, cached, err)
+				t.Fatal(err)
 			}
-			if res.Schedule.NumColors() < 1 {
-				t.Fatalf("%s cached=%t: empty schedule", name, cached)
+			clustered, err := instance.Clustered(rand.New(rand.NewSource(seed)), n, 1+n/16, 20, 300, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kind, in := range map[string]*Instance{"uniform": uniform, "clustered": clustered} {
+				for _, name := range Solvers() {
+					var res [2]*Result
+					for k, cached := range []bool{true, false} {
+						r, err := Lookup(name).Solve(context.Background(), m, in,
+							WithSeed(seed), WithAffectanceCache(cached), WithValidation(true))
+						if err != nil {
+							t.Fatalf("%s %s n=%d seed %d cached=%t: %v", name, kind, n, seed, cached, err)
+						}
+						res[k] = r
+					}
+					on, off := res[0].Schedule, res[1].Schedule
+					for i := range on.Colors {
+						if on.Colors[i] != off.Colors[i] || math.Float64bits(on.Powers[i]) != math.Float64bits(off.Powers[i]) {
+							t.Fatalf("%s %s n=%d seed %d: request %d is (color %d, power %g) with the cache, (%d, %g) without",
+								name, kind, n, seed, i, on.Colors[i], on.Powers[i], off.Colors[i], off.Powers[i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -502,6 +489,9 @@ func TestAffectanceModeSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := mm.CacheFor(small, powers)
+		if _, ok := c.(*affect.Direct); ok {
+			return "direct"
+		}
 		switch {
 		case c == nil:
 			return "none"
@@ -527,8 +517,8 @@ func TestAffectanceModeSelection(t *testing.T) {
 	}
 	off := base
 	off.Affectance = false
-	if got := engineType(off); got != "none" {
-		t.Errorf("affectance off: engine = %s, want none", got)
+	if got := engineType(off); got != "direct" {
+		t.Errorf("affectance off: engine = %s, want direct", got)
 	}
 
 	// Auto above the threshold selects sparse without touching the dense
