@@ -12,14 +12,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	oblivious "repro"
 	"repro/internal/affect"
-	"repro/internal/benchio"
 	"repro/internal/coloring"
 	"repro/internal/experiment"
 	"repro/internal/hst"
@@ -33,67 +31,6 @@ import (
 	"repro/internal/sinr"
 	"repro/internal/treestar"
 )
-
-// TestMain flushes the benchmark trajectories (BENCH_affect.json,
-// BENCH_online.json, BENCH_scale.json, BENCH_pipeline.json — see the
-// recorders below and in scale_test.go) after a -bench run; plain test runs record nothing and
-// write nothing. The emission machinery lives in internal/benchio.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	for _, rec := range []*benchio.Recorder{affectRec, onlineRec, scaleRec, pipelineRec} {
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "bench: ", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
-
-var (
-	affectRec = benchio.NewRecorder("BENCH_affect.json")
-	onlineRec = benchio.NewRecorder("BENCH_online.json")
-)
-
-// affectRow is one row of BENCH_affect.json: a cached-vs-uncached
-// measurement of an affectance hot path at one instance size.
-type affectRow struct {
-	Benchmark string `json:"benchmark"`
-	N         int    `json:"n"`
-	Cached    bool   `json:"cached"`
-	benchio.Metrics
-}
-
-// recordAffectBench captures the just-finished sub-benchmark. Call it
-// after the timed loop, with the timer stopped, passing the checkpoint
-// taken before the loop.
-func recordAffectBench(b *testing.B, cp benchio.Checkpoint, name string, n int, cached bool) {
-	b.Helper()
-	affectRec.Record(fmt.Sprintf("%s/%07d/cached=%t", name, n, cached),
-		affectRow{Benchmark: name, N: n, Cached: cached, Metrics: cp.End(b)})
-}
-
-// onlineRow is one row of BENCH_online.json: the per-event cost of
-// handling a churn trace either incrementally (the online engine) or by
-// re-running the batch greedy solver after every event. The embedded
-// metrics are per full trace replay; NsPerEv divides by the trace length.
-type onlineRow struct {
-	Benchmark string  `json:"benchmark"`
-	N         int     `json:"n"`
-	Mode      string  `json:"mode"`
-	NsPerEv   float64 `json:"ns_per_event"`
-	benchio.Metrics
-}
-
-// recordOnlineBench captures the just-finished churn sub-benchmark
-// (events is the trace length one b.N iteration replays).
-func recordOnlineBench(b *testing.B, cp benchio.Checkpoint, name string, n int, mode string, events int) {
-	b.Helper()
-	met := cp.End(b)
-	onlineRec.Record(fmt.Sprintf("%s/%07d/%s", name, n, mode),
-		onlineRow{Benchmark: name, N: n, Mode: mode, NsPerEv: met.NsPerOp / float64(events), Metrics: met})
-}
 
 func benchExperiment(b *testing.B, run experiment.Runner) {
 	b.Helper()
@@ -298,14 +235,15 @@ func BenchmarkSINRCheck128(b *testing.B) {
 	}
 }
 
-// --- affectance engine benchmarks (cached vs uncached, BENCH_affect.json) ---
+// --- affectance engine benchmarks (cached vs uncached) ---
 
 // affectSizes are the instance sizes of the acceptance criteria.
 var affectSizes = []int{100, 500, 2000}
 
 // BenchmarkSetFeasible measures a full-set feasibility probe — the SINR
-// query every solver leans on — with and without the precomputed
-// affectance matrices.
+// query every solver leans on — by the model (cached=false, the O(|set|²)
+// oracle) and by the dense engine's tracker over the precomputed
+// affectance matrices (cached=true), whose set is filled untimed.
 func BenchmarkSetFeasible(b *testing.B) {
 	for _, n := range affectSizes {
 		m := sinr.Default()
@@ -316,9 +254,13 @@ func BenchmarkSetFeasible(b *testing.B) {
 			set[i] = i
 		}
 		for _, cached := range []bool{false, true} {
-			mm := m
+			setFeasible := func() bool { return m.SetFeasible(in, sinr.Bidirectional, powers, set) }
 			if cached {
-				mm = m.WithCache(affect.New(m, sinr.Bidirectional, in, powers))
+				tr := affect.Rows{Cache: affect.New(m, sinr.Bidirectional, in, powers)}.NewSetTracker(m, sinr.Bidirectional)
+				for _, i := range set {
+					tr.Add(i)
+				}
+				setFeasible = tr.SetFeasible
 			}
 			b.Run(fmt.Sprintf("n=%d/cached=%t", n, cached), func(b *testing.B) {
 				b.ReportAllocs()
@@ -327,13 +269,10 @@ func BenchmarkSetFeasible(b *testing.B) {
 				// the loop so cached-vs-uncached ratios are reproducible.
 				runtime.GC()
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				cp := benchio.Begin()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					mm.SetFeasible(in, sinr.Bidirectional, powers, set)
+					setFeasible()
 				}
-				b.StopTimer()
-				recordAffectBench(b, cp, "SetFeasible", n, cached)
 			})
 		}
 	}
@@ -341,8 +280,7 @@ func BenchmarkSetFeasible(b *testing.B) {
 
 // BenchmarkGreedyColoring measures the full greedy first-fit coloring.
 // The cache is built outside the timed loop: the engine's contract is
-// amortization across the many feasibility probes of one (or, through the
-// SolveAll store, many) solves over the same instance.
+// amortization across the many feasibility probes of a solve.
 func BenchmarkGreedyColoring(b *testing.B) {
 	for _, n := range affectSizes {
 		m := sinr.Default()
@@ -360,15 +298,12 @@ func BenchmarkGreedyColoring(b *testing.B) {
 				// the loop so cached-vs-uncached ratios are reproducible.
 				runtime.GC()
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				cp := benchio.Begin()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := coloring.GreedyFirstFit(mm, in, sinr.Bidirectional, powers, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.StopTimer()
-				recordAffectBench(b, cp, "GreedyColoring", n, cached)
 			})
 		}
 	}
@@ -394,8 +329,9 @@ func BenchmarkAffectanceBuild(b *testing.B) {
 // one Poisson churn trace per size, replayed (a) incrementally through
 // the engine and (b) by re-running the batch greedy solver on the active
 // set after every event — the only alternative a batch-only system has.
-// Per-event costs land in BENCH_online.json; the incremental path must be
-// at least an order of magnitude cheaper at n=2000. The batch mode
+// Each sub-benchmark reports its per-event cost as ns/event; the
+// incremental path must be at least an order of magnitude cheaper at
+// n=2000. The batch mode
 // replays a short prefix of the same trace (its per-event cost is flat in
 // the event count but grows with n², and a full-length replay would blow
 // the CI smoke budget).
@@ -414,7 +350,6 @@ func BenchmarkOnlineChurn(b *testing.B) {
 			// the loop so incremental-vs-batch ratios are reproducible.
 			runtime.GC()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			cp := benchio.Begin()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng, err := online.New(mc, in, sinr.Bidirectional, powers,
@@ -434,7 +369,7 @@ func BenchmarkOnlineChurn(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			recordOnlineBench(b, cp, "OnlineChurn", n, "incremental", len(trace))
+			reportPerEvent(b, len(trace))
 		})
 		b.Run(fmt.Sprintf("n=%d/mode=batch", n), func(b *testing.B) {
 			// Fast-forward the active set to the trace's steady state
@@ -469,7 +404,6 @@ func BenchmarkOnlineChurn(b *testing.B) {
 			b.ReportAllocs()
 			runtime.GC()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			cp := benchio.Begin()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -492,9 +426,15 @@ func BenchmarkOnlineChurn(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			recordOnlineBench(b, cp, "OnlineChurn", n, "batch", len(measured))
+			reportPerEvent(b, len(measured))
 		})
 	}
+}
+
+// reportPerEvent reports the just-finished churn loop's cost per event,
+// where one b.N iteration replays events events.
+func reportPerEvent(b *testing.B, events int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // BenchmarkObsOverhead measures the cost of the observability layer on
@@ -552,59 +492,27 @@ func BenchmarkThinToGain(b *testing.B) {
 				// the loop so cached-vs-uncached ratios are reproducible.
 				runtime.GC()
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				cp := benchio.Begin()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := coloring.ThinToGain(mm, in, sinr.Bidirectional, powers, set, 2*m.Beta); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.StopTimer()
-				recordAffectBench(b, cp, "ThinToGain", n, cached)
 			})
 		}
 	}
-}
-
-// pipelineRec accumulates BENCH_pipeline.json: the per-stage cost
-// profile of the Theorem 2 pipeline (see the rows below), flushed by
-// TestMain next to the other trajectories.
-var pipelineRec = benchio.NewRecorder("BENCH_pipeline.json")
-
-// pipelineStageRow is one per-stage row of BENCH_pipeline.json: the
-// aggregate of one "span/pipeline/<stage>" histogram over an observed
-// end-to-end coloring — how many spans the stage ran (one per extracted
-// color class; hst-build runs once per sampled tree) and the mean
-// nanoseconds per span.
-type pipelineStageRow struct {
-	Benchmark string  `json:"benchmark"`
-	N         int     `json:"n"`
-	Stage     string  `json:"stage"`
-	Spans     int64   `json:"spans"`
-	NsPerSpan float64 `json:"ns_per_span"`
-}
-
-// pipelineTotalRow is the end-to-end row of BENCH_pipeline.json: one
-// full pipeline solve through the public registry, with the engine the
-// auto mode resolved to and the schedule length.
-type pipelineTotalRow struct {
-	Benchmark string `json:"benchmark"`
-	N         int    `json:"n"`
-	Engine    string `json:"engine"`
-	Colors    int    `json:"peak_slots"`
-	benchio.Metrics
 }
 
 // pipelineStageNames are the spans runCtx emits, in pipeline order.
 var pipelineStageNames = []string{"stage1", "stage2", "stage3", "stage4", "stage5", "hst-build"}
 
 // BenchmarkPipelineStages profiles the pipeline solver end to end at n ∈
-// {2000, 10000} with an obs collector attached, then breaks the
-// "span/pipeline/*" histograms out into per-stage BENCH_pipeline.json
-// rows next to the end-to-end total. This is the benchmark behind the
-// per-stage cost table in ARCHITECTURE.md: it shows where a coloring
-// spends its time (the stage-2 tree scans and stage-5 thinning at
-// scale) and pins the arena/worker-pool savings against regressions.
+// {2000, 10000} with an obs collector attached, then reports the mean of
+// each "span/pipeline/*" histogram as <stage>-ns/span (one span per
+// extracted color class; hst-build one per sampled tree) next to the
+// end-to-end ns/op and the schedule length. It shows where a coloring
+// spends its time (the stage-2 tree scans and stage-5 thinning at scale)
+// and pins the arena/worker-pool savings against regressions.
 func BenchmarkPipelineStages(b *testing.B) {
 	m := oblivious.DefaultModel()
 	for _, n := range []int{2000, 10000} {
@@ -613,8 +521,6 @@ func BenchmarkPipelineStages(b *testing.B) {
 			b.ReportAllocs()
 			col := obs.NewCollector()
 			var sched *oblivious.Schedule
-			var stats oblivious.Stats
-			cp := benchio.Begin()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := oblivious.Lookup("pipeline").Solve(context.Background(), m, in,
@@ -622,23 +528,18 @@ func BenchmarkPipelineStages(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sched, stats = res.Schedule, res.Stats
+				sched = res.Schedule
 			}
 			b.StopTimer()
-			met := cp.End(b)
 			snap := col.Snapshot()
 			for _, stage := range pipelineStageNames {
 				h, ok := snap.Histograms["span/pipeline/"+stage]
 				if !ok || h.Count == 0 {
 					continue
 				}
-				pipelineRec.Record(fmt.Sprintf("PipelineStages/%07d/%s", n, stage),
-					pipelineStageRow{Benchmark: "PipelineStages", N: n, Stage: stage,
-						Spans: h.Count, NsPerSpan: float64(h.Sum) / float64(h.Count)})
+				b.ReportMetric(float64(h.Sum)/float64(h.Count), stage+"-ns/span")
 			}
-			pipelineRec.Record(fmt.Sprintf("PipelineStages/%07d/total", n),
-				pipelineTotalRow{Benchmark: "PipelineStages", N: n, Engine: stats.Engine,
-					Colors: sched.NumColors(), Metrics: met})
+			b.ReportMetric(float64(sched.NumColors()), "colors")
 		})
 	}
 }

@@ -12,9 +12,9 @@ import (
 
 // Cache is the precomputed affectance engine: for one (instance, model,
 // variant, powers) tuple it stores the full n×n affectance matrices as flat
-// row-major []float64, plus the per-request loss and signal vectors, and
-// implements the sinr.Cache hook so that attaching it to a Model turns the
-// O(pow)-per-pair interference queries into array loads.
+// row-major []float64, plus the per-request signal vector. Attached to a
+// Model (sinr.Model.WithCache), it reaches consumers through Resolve, which
+// serves it through the Rows adapter.
 //
 // For the directed variant one matrix is stored (interference at each
 // request's receiver); for the bidirectional variant two (interference at
@@ -27,21 +27,15 @@ import (
 // itself, and the query loops skip j == i explicitly, mirroring the direct
 // computation.
 //
-// The powers slice is snapshotted at build time. Covers accepts the
-// original slice by pointer and any other slice with bitwise-equal
-// contents (value comparisons are memoized by slice identity, so repeated
-// queries stay O(1)). Mutating a powers slice after the cache accepted it
-// is a caller bug — the same bug as mutating the build slice itself.
+// The powers slice is snapshotted at build time, and Covers accepts any
+// slice with bitwise-equal contents. A Cache is safe for concurrent
+// readers; the trackers built over it are not.
 type Cache struct {
-	in     *problem.Instance
-	v      sinr.Variant
-	alpha  float64
-	n      int
-	orig   *float64  // first element of the build slice (fast-path identity)
-	powers []float64 // snapshot of the build powers
+	build
+	v sinr.Variant
+	n int
 
 	signals []float64
-	losses  []float64
 
 	// directed matrices (nil for the bidirectional variant)
 	dInto, dFrom []float64
@@ -49,36 +43,45 @@ type Cache struct {
 	uInto, vInto, uFrom, vFrom []float64
 
 	// The transposed From views are materialized lazily on first use: the
-	// greedy and online hot paths need them, but plain interference
-	// queries (Model.*Interference, margins, CheckSchedule) only stream
-	// Into rows, and for those a cache at half the memory suffices. Each
-	// transpose is built exactly once, behind a sync.Once, so concurrent
-	// readers (SolveAll workers sharing a Store) race neither on the build
-	// nor on the slice assignment.
+	// trackers need them, but the Into-only consumers (LP assembly, the
+	// LP budget and repair passes, distributed's success check) stream
+	// Into rows alone, and for those a cache at half the memory suffices.
+	// Each transpose is built exactly once, behind a sync.Once, so
+	// concurrent readers race neither on the build nor on the slice
+	// assignment.
 	dFromOnce, uFromOnce, vFromOnce sync.Once
 
-	// accepted memoizes alternate powers slices that compared equal to the
-	// snapshot, as an immutable copy-on-write list of slice identities.
-	accepted atomic.Value // []sliceKey
-	memoMu   sync.Mutex
-
 	// bytes tracks the float64 payload held by the cache. Atomic because
-	// the lazy From transposes grow it concurrently with Bytes readers
-	// (SolveAll workers share a cache through the Store).
+	// the lazy From transposes grow it concurrently with Bytes readers.
 	bytes atomic.Int64
 }
 
 var _ sinr.Cache = (*Cache)(nil)
 
-// sliceKey identifies a []float64 by backing array and length.
-type sliceKey struct {
-	p *float64
-	n int
+// build is the (instance, path-loss exponent, powers) tuple an engine was
+// built for; its Covers is the coverage rule of the dense and the direct
+// engine.
+type build struct {
+	in     *problem.Instance
+	alpha  float64
+	powers []float64 // snapshot of the build powers
 }
 
-// maxMemo bounds the accepted-slice memo; beyond it, equal slices are
-// re-compared on every Covers call (still correct, just slower).
-const maxMemo = 16
+// Covers reports whether the engine answers queries for this instance,
+// path-loss exponent and powers: the same instance, the same exponent and
+// powers bitwise equal to the build's. The comparison is O(n); Resolve
+// makes it once per consumer call, off the hot path.
+func (b *build) Covers(in *problem.Instance, alpha float64, powers []float64) bool {
+	if in != b.in || alpha != b.alpha || len(powers) != len(b.powers) {
+		return false
+	}
+	for i, p := range powers {
+		if p != b.powers[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // New builds the affectance cache for the given model, variant, instance
 // and powers. The matrices are filled by a worker pool sized to
@@ -90,18 +93,13 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 		panic(fmt.Sprintf("affect: %d powers for %d requests", len(powers), n))
 	}
 	c := &Cache{
-		in:     in,
-		v:      v,
-		alpha:  m.Alpha,
-		n:      n,
-		orig:   &powers[0],
-		powers: append([]float64(nil), powers...),
+		build: build{in: in, alpha: m.Alpha, powers: append([]float64(nil), powers...)},
+		v:     v,
+		n:     n,
 	}
 	c.signals = make([]float64, n)
-	c.losses = make([]float64, n)
 	for i := 0; i < n; i++ {
-		c.losses[i] = m.RequestLoss(in, i)
-		c.signals[i] = powers[i] / c.losses[i]
+		c.signals[i] = powers[i] / m.RequestLoss(in, i)
 	}
 	switch v {
 	case sinr.Directed:
@@ -115,8 +113,8 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 
 	// Fill the Into matrices row by row: row i holds the interference every
 	// other request adds at request i's constraint node(s). The entries are
-	// computed with the exact formulas of the sinr package, so cached and
-	// uncached queries agree bitwise.
+	// computed with the exact formulas of the sinr package, so the engine
+	// and the model agree bitwise.
 	parallelRows(n, func(i int) {
 		base := i * n
 		switch v {
@@ -143,7 +141,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 	// lazily on first access (see DirectedFrom/FromU/FromV), so a solve
 	// that never walks them — every pure Into consumer — pays half the
 	// dense memory.
-	c.bytes.Store(8 * int64(len(c.powers)+len(c.signals)+len(c.losses)+
+	c.bytes.Store(8 * int64(len(c.powers)+len(c.signals)+
 		len(c.dInto)+len(c.uInto)+len(c.vInto)))
 	return c
 }
@@ -203,58 +201,6 @@ func (c *Cache) N() int { return c.n }
 // serve that variant only.
 func (c *Cache) Variant() sinr.Variant { return c.v }
 
-// Covers reports whether the cache answers queries for this instance,
-// path-loss exponent and powers. Instance identity is by pointer; powers
-// are accepted by pointer identity with the build slice, by membership in
-// the memo of previously accepted slices, or — once — by full value
-// comparison, after which the slice identity is memoized.
-func (c *Cache) Covers(in *problem.Instance, alpha float64, powers []float64) bool {
-	if in != c.in || alpha != c.alpha || len(powers) != c.n {
-		return false
-	}
-	if c.n == 0 {
-		return true
-	}
-	p := &powers[0]
-	if p == c.orig {
-		return true
-	}
-	key := sliceKey{p: p, n: len(powers)}
-	accepted, _ := c.accepted.Load().([]sliceKey)
-	for _, k := range accepted {
-		if k == key {
-			return true
-		}
-	}
-	for i, v := range powers {
-		if v != c.powers[i] {
-			return false
-		}
-	}
-	c.memoize(key)
-	return true
-}
-
-// memoize records a powers slice that compared equal to the snapshot, via
-// copy-on-write so concurrent Covers calls never lock on the read path.
-func (c *Cache) memoize(key sliceKey) {
-	c.memoMu.Lock()
-	defer c.memoMu.Unlock()
-	accepted, _ := c.accepted.Load().([]sliceKey)
-	if len(accepted) >= maxMemo {
-		return
-	}
-	for _, k := range accepted {
-		if k == key {
-			return
-		}
-	}
-	next := make([]sliceKey, len(accepted)+1)
-	copy(next, accepted)
-	next[len(accepted)] = key
-	c.accepted.Store(next)
-}
-
 func (c *Cache) row(a []float64, i int) []float64 {
 	if a == nil {
 		return nil
@@ -263,7 +209,8 @@ func (c *Cache) row(a []float64, i int) []float64 {
 }
 
 // DirectedInto returns row i of the directed affectance matrix (nil for a
-// bidirectional cache). See sinr.Cache.
+// bidirectional cache): entry j is p_j/ℓ(u_j, v_i), the interference
+// request j's sender adds at request i's receiver.
 func (c *Cache) DirectedInto(i int) []float64 { return c.row(c.dInto, i) }
 
 // DirectedFrom returns row j of the transposed directed matrix,
@@ -280,7 +227,7 @@ func (c *Cache) DirectedFrom(j int) []float64 {
 }
 
 // IntoU returns row i of the bidirectional affectance matrix at endpoint U
-// (nil for a directed cache). See sinr.Cache.
+// (nil for a directed cache): entry j is p_j/min{ℓ(u_j,u_i), ℓ(v_j,u_i)}.
 func (c *Cache) IntoU(i int) []float64 { return c.row(c.uInto, i) }
 
 // IntoV returns row i of the bidirectional affectance matrix at endpoint V.
@@ -319,6 +266,3 @@ func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
 // Signals returns the per-request signal strengths p_i/ℓ_i.
 func (c *Cache) Signals() []float64 { return c.signals }
-
-// Losses returns the per-request endpoint losses ℓ_i.
-func (c *Cache) Losses() []float64 { return c.losses }

@@ -57,59 +57,6 @@ var exactTrackers = []struct {
 	}},
 }
 
-// TestOracleCrossCheck is the acceptance-criteria oracle: on randomized
-// instances, for uniform, sqrt and linear powers and both SINR variants,
-// the margins computed through the attached cache agree with the uncached
-// computation to 1e-9 (they are in fact designed to agree bitwise).
-func TestOracleCrossCheck(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		in := randomInstance(t, seed, 60)
-		rng := rand.New(rand.NewSource(seed + 100))
-		for _, a := range assignments() {
-			for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
-				m := sinr.Default()
-				powers := power.Powers(m, in, a)
-				cached := m.WithCache(New(m, v, in, powers))
-				for trial := 0; trial < 10; trial++ {
-					set := randomSet(rng, in.N())
-					for _, i := range set {
-						got := cached.Margin(in, v, powers, set, i)
-						want := m.Margin(in, v, powers, set, i)
-						if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-							t.Fatalf("seed %d %s %s: margin(%d) cached %g, uncached %g",
-								seed, a.Name(), v, i, got, want)
-						}
-					}
-					if got, want := cached.SetFeasible(in, v, powers, set), m.SetFeasible(in, v, powers, set); got != want {
-						t.Fatalf("seed %d %s %s: SetFeasible cached %t, uncached %t", seed, a.Name(), v, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestOracleCrossCheckBeta pins that a cache built once survives WithBeta:
-// the matrices depend only on alpha and the powers.
-func TestOracleCrossCheckBeta(t *testing.T) {
-	in := randomInstance(t, 7, 40)
-	m := sinr.Default()
-	powers := power.Powers(m, in, power.Sqrt())
-	c := New(m, sinr.Bidirectional, in, powers)
-	strict := m.WithBeta(4).WithCache(c)
-	if strict.CacheFor(in, powers) == nil {
-		t.Fatal("cache must survive WithBeta")
-	}
-	set := []int{0, 3, 5, 17, 20}
-	for _, i := range set {
-		got := strict.Margin(in, sinr.Bidirectional, powers, set, i)
-		want := m.WithBeta(4).Margin(in, sinr.Bidirectional, powers, set, i)
-		if got != want {
-			t.Fatalf("margin(%d) with beta 4: cached %g, uncached %g", i, got, want)
-		}
-	}
-}
-
 func TestCoversIdentityAndValue(t *testing.T) {
 	in := randomInstance(t, 2, 20)
 	m := sinr.Default()
@@ -154,11 +101,6 @@ func TestCacheForDetachesOnMismatch(t *testing.T) {
 	other := power.Powers(m, in, power.Uniform(1))
 	if cached.CacheFor(in, other) != nil {
 		t.Fatal("CacheFor must reject foreign powers")
-	}
-	// Queries with foreign powers silently fall back and stay correct.
-	set := []int{0, 1, 2}
-	if got, want := cached.Margin(in, sinr.Bidirectional, other, set, 1), m.Margin(in, sinr.Bidirectional, other, set, 1); got != want {
-		t.Fatalf("fallback margin %g, want %g", got, want)
 	}
 }
 
@@ -302,30 +244,6 @@ func trackerOrderAndQueries(t *testing.T, newTracker exactTracker) {
 	}
 	if math.Abs(worst-oWorst) > 1e-9*(1+math.Abs(oWorst)) || arg != oArg {
 		t.Fatalf("WorstMargin (%g,%d), oracle (%g,%d)", worst, arg, oWorst, oArg)
-	}
-}
-
-func TestStoreDeduplicates(t *testing.T) {
-	in := randomInstance(t, 13, 15)
-	m := sinr.Default()
-	s := NewStore()
-	p1 := power.Powers(m, in, power.Sqrt())
-	p2 := power.Powers(m, in, power.Sqrt()) // equal values, distinct slice
-	c1 := s.For(m, sinr.Bidirectional, in, p1)
-	c2 := s.For(m, sinr.Bidirectional, in, p2)
-	if c1 != c2 {
-		t.Error("equal powers on the same instance must share a cache")
-	}
-	c3 := s.For(m, sinr.Bidirectional, in, power.Powers(m, in, power.Linear()))
-	if c3 == c1 {
-		t.Error("different powers must not share a cache")
-	}
-	c4 := s.For(m, sinr.Directed, in, p1)
-	if c4 == c1 {
-		t.Error("different variants must not share a cache")
-	}
-	if !c4.Covers(in, m.Alpha, p1) || c4.DirectedInto(0) == nil {
-		t.Error("store must return a covering cache of the right variant")
 	}
 }
 

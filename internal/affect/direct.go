@@ -9,50 +9,24 @@ import (
 )
 
 // Direct is the matrix-free affectance engine: it keeps only the
-// per-request signal and loss vectors and computes each affectance on
-// demand with the formulas New fills its matrices with, so every value is
-// bitwise the dense entry, at O(n) memory and no build cost. Resolve
-// falls back to it when the model carries no engine for the variant, and
+// per-request signal vector and computes each affectance on demand with
+// the formulas New fills its matrices with, so every value is bitwise the
+// dense entry, at O(n) memory and no build cost. Resolve falls back to it
+// when the model carries no engine for the variant, and
 // WithAffectanceCache(false) runs the solvers on it.
 //
 // Like the other engines it is immutable after construction and safe for
 // concurrent readers; the trackers it hands out are not.
 type Direct struct {
-	NoRows
+	build
 
-	in     *problem.Instance
-	v      sinr.Variant
-	loss   sinr.Model // path-loss exponent only; gain and noise enter per tracker
-	dist   func(a, b int) float64
-	powers []float64
-
-	signals, losses []float64
+	v       sinr.Variant
+	loss    sinr.Model // path-loss exponent only; gain and noise enter per tracker
+	dist    func(a, b int) float64
+	signals []float64
 }
 
 var _ Engine = (*Direct)(nil)
-
-// NoRows is the row face of an engine that materializes no matrix rows:
-// every accessor returns nil, so the model's own interference queries
-// compute directly. Direct and the sparse engine embed it.
-type NoRows struct{}
-
-// DirectedInto returns nil.
-func (NoRows) DirectedInto(int) []float64 { return nil }
-
-// DirectedFrom returns nil.
-func (NoRows) DirectedFrom(int) []float64 { return nil }
-
-// IntoU returns nil.
-func (NoRows) IntoU(int) []float64 { return nil }
-
-// IntoV returns nil.
-func (NoRows) IntoV(int) []float64 { return nil }
-
-// FromU returns nil.
-func (NoRows) FromU(int) []float64 { return nil }
-
-// FromV returns nil.
-func (NoRows) FromV(int) []float64 { return nil }
 
 // NewDirect builds the direct engine for the model's path-loss exponent,
 // the variant, the instance and the powers (snapshotted). It panics on an
@@ -66,17 +40,14 @@ func NewDirect(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []floa
 		panic(fmt.Sprintf("affect: unknown variant %d", int(v)))
 	}
 	d := &Direct{
-		in:      in,
+		build:   build{in: in, alpha: m.Alpha, powers: append([]float64(nil), powers...)},
 		v:       v,
 		loss:    sinr.Model{Alpha: m.Alpha},
 		dist:    geom.DistFunc(in.Space),
-		powers:  append([]float64(nil), powers...),
 		signals: make([]float64, n),
-		losses:  make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		d.losses[i] = m.RequestLoss(in, i)
-		d.signals[i] = powers[i] / d.losses[i]
+		d.signals[i] = powers[i] / m.RequestLoss(in, i)
 	}
 	return d
 }
@@ -132,33 +103,14 @@ func (d *Direct) InterferenceBound(set []int, i int) (b1, b2 float64) {
 	return b1, b2
 }
 
-// Covers reports whether the engine answers queries for this instance,
-// path-loss exponent and powers: any slice with contents bitwise equal to
-// the build powers. Consumers resolve their engine once per call, so the
-// O(n) comparison stays off the hot path.
-func (d *Direct) Covers(in *problem.Instance, alpha float64, powers []float64) bool {
-	if in != d.in || alpha != d.loss.Alpha || len(powers) != len(d.powers) {
-		return false
-	}
-	for i, p := range powers {
-		if p != d.powers[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Signals returns the per-request signal strengths p_i/ℓ_i.
 func (d *Direct) Signals() []float64 { return d.signals }
-
-// Losses returns the per-request endpoint losses ℓ_i.
-func (d *Direct) Losses() []float64 { return d.losses }
 
 // NewSetTracker implements sinr.TrackerProvider: a fresh exact tracker
 // that computes its pairs directly, or nil when v or the model's
 // path-loss exponent is not the engine's.
 func (d *Direct) NewSetTracker(m sinr.Model, v sinr.Variant) sinr.SetTracker {
-	if v != d.v || m.Alpha != d.loss.Alpha {
+	if v != d.v || m.Alpha != d.alpha {
 		return nil
 	}
 	return &directTracker{exactSet: newExactSet(m, v, d.signals), d: d, memo: -1}

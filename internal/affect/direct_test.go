@@ -11,9 +11,11 @@ import (
 )
 
 // TestEngineBoundsMatchDense pins the exact engines' pair and set queries
-// bitwise against the dense matrices, for both variants and all three
-// power assignments: PairBound(i, j) is entry (i, j) of the Into
-// matrices, and InterferenceBound is the model's cached row sum.
+// bitwise against the dense matrices and the model, for both variants and
+// all three power assignments: PairBound(i, j) is entry (i, j) of the
+// Into matrices, InterferenceBound is the model's interference sum, and
+// the signals plus InterferenceBound, through sinr.Model.SignalMargin,
+// are the model's Margin at β = 1 and β = 4.
 func TestEngineBoundsMatchDense(t *testing.T) {
 	in := randomInstance(t, 31, 40)
 	rng := rand.New(rand.NewSource(5))
@@ -22,7 +24,6 @@ func TestEngineBoundsMatchDense(t *testing.T) {
 		powers := power.Powers(m, in, a)
 		for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
 			c := New(m, v, in, powers)
-			cached := m.WithCache(c)
 			for _, eng := range []Engine{Rows{c}, NewDirect(m, v, in, powers)} {
 				for i := 0; i < in.N(); i++ {
 					for j := 0; j < in.N(); j++ {
@@ -43,14 +44,22 @@ func TestEngineBoundsMatchDense(t *testing.T) {
 					b1, b2 := eng.InterferenceBound(set, i)
 					var w1, w2 float64
 					if v == sinr.Directed {
-						w1 = cached.DirectedInterference(in, powers, set, i)
+						w1 = m.DirectedInterference(in, powers, set, i)
 					} else {
-						w1 = cached.RequestInterferenceU(in, powers, set, i)
-						w2 = cached.RequestInterferenceV(in, powers, set, i)
+						w1 = m.RequestInterferenceU(in, powers, set, i)
+						w2 = m.RequestInterferenceV(in, powers, set, i)
 					}
 					if b1 != w1 || b2 != w2 {
-						t.Fatalf("%T %s %s: InterferenceBound(%v, %d) = (%g,%g), dense (%g,%g)",
+						t.Fatalf("%T %s %s: InterferenceBound(%v, %d) = (%g,%g), model (%g,%g)",
 							eng, a.Name(), v, set, i, b1, b2, w1, w2)
+					}
+					for _, beta := range []float64{1, 4} {
+						mb := m.WithBeta(beta)
+						got := mb.SignalMargin(v, eng.Signals()[i], b1, b2)
+						if want := mb.Margin(in, v, powers, set, i); !sameBits(got, want) {
+							t.Fatalf("%T %s %s β=%g: margin of %d in %v = %g, model %g",
+								eng, a.Name(), v, beta, i, set, got, want)
+						}
 					}
 				}
 			}

@@ -1,12 +1,11 @@
 // Package affect is the precomputed affectance engine behind the SINR hot
-// path. Every solver in this reproduction bottoms out in interference
-// queries of the physical model (package sinr) that recompute a path loss
-// d^α per sender/receiver pair on every call; this package precomputes,
-// per (instance, model, variant, powers) tuple, the full n×n affectance
-// matrices — flat row-major []float64, filled by a worker pool — plus the
-// per-request loss and signal vectors, and serves them through the
-// sinr.Cache hook so that the model's feasibility checks become array
-// sums.
+// path. The physical model (package sinr) answers every interference
+// question by recomputing a path loss d^α per sender/receiver pair; it is
+// the oracle. The solvers instead query an Engine from this package: the
+// dense one precomputes, per (instance, model, variant, powers) tuple,
+// the full n×n affectance matrices — flat row-major []float64, filled by a
+// worker pool — plus the per-request signal vector, so their feasibility
+// checks become array sums.
 //
 // The term "affectance" follows the SINR scheduling literature: entry
 // (i, j) is the normalized interference request j inflicts on request i's
@@ -17,12 +16,10 @@
 //
 // Exported entry points:
 //
-//   - New builds a Cache; attach it with sinr.Model.WithCache. Cached and
-//     uncached queries agree bitwise — the uncached path remains the
-//     oracle, and TestOracleCrossCheck pins the equivalence for all power
-//     variants.
-//   - Store deduplicates caches across solves; the batch runner SolveAll
-//     hands one Store to all workers.
+//   - New builds a Cache; attach it with sinr.Model.WithCache. Its
+//     entries are the model's values bitwise — TestEngineBoundsMatchDense
+//     and TestTrackerMatchesOracle pin its queries and trackers against
+//     the model for all power variants.
 //   - Tracker maintains a transmission set with running interference
 //     accumulators: O(|set|) insert/remove and O(1) member margins,
 //     replacing the O(|set|²) re-scan of direct set-feasibility.
@@ -34,5 +31,6 @@
 //     wrapper of one as is), a new Direct engine otherwise. Every
 //     Engine hands out sinr.SetTrackers and answers PairBound and
 //     InterferenceBound, so greedy coloring, thinning, the LP passes,
-//     the online engine and the fault injector take one path.
+//     the distributed simulator, the online engine and the fault
+//     injector take one path.
 package affect

@@ -16,6 +16,9 @@ type Engine interface {
 	sinr.TrackerProvider
 	// Variant returns the SINR variant the engine serves.
 	Variant() sinr.Variant
+	// Signals returns p_i/ℓ_i for every request: the received signal
+	// strength at a request's own endpoint, bitwise the model's.
+	Signals() []float64
 	// PairBound returns the affectance request j adds at request i's
 	// constraint node(s) — or an upper bound on it — for j ≠ i: the
 	// receiver's value first for the directed variant (the second is
@@ -42,8 +45,9 @@ func EngineOf(c sinr.Cache) Engine {
 // Resolve returns the feasibility engine for variant v over (in, powers):
 // the engine the model carries for them (see EngineOf) when it serves v,
 // and a new matrix-free Direct engine otherwise. It is the one place
-// variants are compared; every consumer then drives the result through
-// sinr.SetTracker and the Engine queries.
+// coverage and variants are checked — once per call, so the O(n) powers
+// comparison stays off every hot path — and every consumer then drives
+// the result through sinr.SetTracker and the Engine queries.
 func Resolve(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) Engine {
 	if e := EngineOf(m.CacheFor(in, powers)); e != nil && e.Variant() == v {
 		return e
@@ -77,8 +81,8 @@ func (r Rows) PairBound(i, j int) (b1, b2 float64) {
 	return r.uInto[k], r.vInto[k]
 }
 
-// InterferenceBound sums row i over the requests of set other than i —
-// bitwise the model's cached interference queries.
+// InterferenceBound sums row i over the requests of set other than i, in
+// set order — bitwise the model's interference queries.
 func (r Rows) InterferenceBound(set []int, i int) (b1, b2 float64) {
 	if r.v == sinr.Directed {
 		row := r.DirectedInto(i)

@@ -40,20 +40,27 @@ func TestResolveSelectsEngine(t *testing.T) {
 	cases := []struct {
 		name     string
 		attached sinr.Cache
+		beta     float64 // the model's gain when nonzero
 		want     func(affect.Engine) bool
 	}{
-		{"dense, requested variant", dense, func(e affect.Engine) bool { return e == affect.Rows{Cache: dense} }},
-		{"dense, other variant", affect.New(m, sinr.Directed, in, powers), isDirect},
-		{"sparse", eng, func(e affect.Engine) bool { return e == eng }},
-		{"sparse, other variant", otherSparse, isDirect},
-		{"fault-injection wrapper", wrapped, func(e affect.Engine) bool { return e == wrapped }},
-		{"direct", direct, func(e affect.Engine) bool { return e == direct }},
-		{"nothing", nil, isDirect},
+		{"dense, requested variant", dense, 0, func(e affect.Engine) bool { return e == affect.Rows{Cache: dense} }},
+		// The matrices depend on α and the powers only, so an engine
+		// survives WithBeta.
+		{"dense, after WithBeta(4)", dense, 4, func(e affect.Engine) bool { return e == affect.Rows{Cache: dense} }},
+		{"dense, other variant", affect.New(m, sinr.Directed, in, powers), 0, isDirect},
+		{"sparse", eng, 0, func(e affect.Engine) bool { return e == eng }},
+		{"sparse, other variant", otherSparse, 0, isDirect},
+		{"fault-injection wrapper", wrapped, 0, func(e affect.Engine) bool { return e == wrapped }},
+		{"direct", direct, 0, func(e affect.Engine) bool { return e == direct }},
+		{"nothing", nil, 0, isDirect},
 	}
 	for _, c := range cases {
 		mm := m
 		if c.attached != nil {
 			mm = m.WithCache(c.attached)
+		}
+		if c.beta != 0 {
+			mm = mm.WithBeta(c.beta)
 		}
 		got := affect.Resolve(mm, v, in, powers)
 		if !c.want(got) {
@@ -63,7 +70,7 @@ func TestResolveSelectsEngine(t *testing.T) {
 		if got.Variant() != v {
 			t.Errorf("%s: resolved engine serves %s, want %s", c.name, got.Variant(), v)
 		}
-		if got.NewSetTracker(m, v) == nil {
+		if got.NewSetTracker(mm, v) == nil {
 			t.Errorf("%s: resolved engine hands out no tracker", c.name)
 		}
 	}

@@ -27,9 +27,10 @@
 // (see rings()). ε=0 degenerates to the dense path bitwise — For
 // returns the dense affect.Cache itself.
 //
-// An Engine implements sinr.Cache (Covers/Signals/Losses; the row
-// accessors return nil — rows are exactly what it refuses to
-// materialize) and sinr.TrackerProvider, through which the schedulers
-// obtain conservative incremental trackers whose Add/Remove/CanAdd touch
-// only near-cell neighbors plus per-cell far-field accumulators.
+// An Engine is an affect.Engine with no matrix rows — rows are exactly
+// what it refuses to materialize. Attached to a model, it reaches the
+// schedulers through affect.Resolve, and they obtain from it conservative
+// incremental trackers whose Add/Remove/CanAdd touch only near-cell
+// neighbors plus per-cell far-field accumulators, and conservative pair
+// and set bounds.
 package sparse

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/affect"
 	"repro/internal/problem"
@@ -37,7 +36,7 @@ type Options struct {
 	// factor 1+ε (the near radius is derived from it, see rings). Larger
 	// ε means fewer exact entries — less memory and faster probes, but
 	// looser margins and so potentially more colors. It never costs
-	// correctness: the bound direction makes every accepted set feasible.
+	// correctness: the bound direction makes every set it admits feasible.
 	// 0 selects the dense path (For degenerates to affect.New bitwise);
 	// negative is invalid.
 	Epsilon float64
@@ -69,26 +68,23 @@ func rings(eps, alpha float64, dim int) int32 {
 
 // Engine is the grid-bucketed affectance engine for one (instance, model,
 // variant, powers) tuple: exact CSR entries for near pairs, cell-granular
-// conservative upper bounds for everything else. It implements sinr.Cache
-// (with nil rows) and sinr.TrackerProvider; schedulers consume it through
-// the trackers.
+// conservative upper bounds for everything else. It is an affect.Engine
+// that materializes no matrix rows; schedulers reach it through
+// affect.Resolve and drive its trackers and bounds.
 //
 // Like the dense cache it is immutable after construction and safe for
 // concurrent readers; the trackers it hands out are not.
 type Engine struct {
-	affect.NoRows // rows are exactly what the engine refuses to build
-
 	in     *problem.Instance
 	v      sinr.Variant
 	alpha  float64
 	n      int
 	eps    float64
 	r      int32
-	orig   *float64
 	powers []float64
 
-	signals, losses []float64
-	loss            sinr.Model // alpha-only model for loss evaluations
+	signals []float64
+	loss    sinr.Model // alpha-only model for loss evaluations
 
 	g            *grid
 	cellU, cellV []int32 // cell id of each request's U / V endpoint
@@ -103,22 +99,9 @@ type Engine struct {
 	adj    []int32
 	a1, a2 []float64
 	mirror []int32
-
-	// accepted memoizes the last alternate powers slice that compared
-	// value-equal to the snapshot (see affect.Cache.Covers for the full
-	// memo rationale; one slot suffices for the solver call patterns).
-	accepted atomic.Value // sliceKey
 }
 
-var (
-	_ sinr.Cache           = (*Engine)(nil)
-	_ sinr.TrackerProvider = (*Engine)(nil)
-)
-
-type sliceKey struct {
-	p *float64
-	n int
-}
+var _ affect.Engine = (*Engine)(nil)
 
 // ErrUnsupportedMetric is returned when the sparse engine is requested
 // over a metric that carries no grid coordinates. The solver layer
@@ -165,16 +148,13 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 		n:      n,
 		eps:    o.Epsilon,
 		r:      rings(o.Epsilon, m.Alpha, dim),
-		orig:   &powers[0],
 		powers: append([]float64(nil), powers...),
 		loss:   sinr.Model{Alpha: m.Alpha, Beta: 1},
 	}
 
 	e.signals = make([]float64, n)
-	e.losses = make([]float64, n)
 	for i := 0; i < n; i++ {
-		e.losses[i] = m.RequestLoss(in, i)
-		e.signals[i] = powers[i] / e.losses[i]
+		e.signals[i] = powers[i] / m.RequestLoss(in, i)
 	}
 
 	// Bucket the endpoints and index each cell's requests.
@@ -406,7 +386,7 @@ func (e *Engine) Cells() int { return len(e.g.coords) }
 // the figure is a floor — good for the memory gauges and the sparse
 // vs dense comparison, not an allocator-exact accounting.
 func (e *Engine) Bytes() int64 {
-	b := 8 * int64(len(e.powers)+len(e.signals)+len(e.losses)+len(e.a1)+len(e.a2))
+	b := 8 * int64(len(e.powers)+len(e.signals)+len(e.a1)+len(e.a2))
 	b += 4 * int64(len(e.cellU)+len(e.cellV)+len(e.start)+len(e.adj)+len(e.mirror))
 	b += int64(len(e.g.coords)) * int64(3*4) // cellCoord payload
 	for _, rs := range e.g.reqs {
@@ -421,38 +401,22 @@ func (e *Engine) N() int { return e.n }
 // Variant returns the SINR variant the engine was built for.
 func (e *Engine) Variant() sinr.Variant { return e.v }
 
-// --- sinr.Cache ---
-
 // Covers reports whether the engine answers queries for this instance,
-// path-loss exponent and powers, with the same acceptance rule as the
-// dense cache: build-slice identity, a memoized previously accepted
-// slice, or full value equality.
+// path-loss exponent and powers, with the dense and the direct engine's
+// rule: the same instance, the same exponent and powers bitwise equal to
+// the build's. The comparison is O(n); affect.Resolve makes it once per
+// consumer call.
 func (e *Engine) Covers(in *problem.Instance, alpha float64, powers []float64) bool {
 	if in != e.in || alpha != e.alpha || len(powers) != e.n {
 		return false
 	}
-	if e.n == 0 {
-		return true
-	}
-	p := &powers[0]
-	if p == e.orig {
-		return true
-	}
-	key := sliceKey{p: p, n: len(powers)}
-	if k, _ := e.accepted.Load().(sliceKey); k == key {
-		return true
-	}
-	for i, v := range powers {
-		if v != e.powers[i] {
+	for i, p := range powers {
+		if p != e.powers[i] {
 			return false
 		}
 	}
-	e.accepted.Store(key)
 	return true
 }
 
 // Signals returns the per-request signal strengths p_i/ℓ_i.
 func (e *Engine) Signals() []float64 { return e.signals }
-
-// Losses returns the per-request endpoint losses ℓ_i.
-func (e *Engine) Losses() []float64 { return e.losses }

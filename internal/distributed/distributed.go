@@ -98,17 +98,19 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 	if m.CacheFor(in, powers) == nil {
 		m = m.WithCache(affect.New(m, sinr.Bidirectional, in, powers))
 	}
-	// When the attached engine is a tracker provider (sparse, direct), the
-	// per-slot success checks run on one recycled sinr.SetTracker: add the
-	// slot's active set, read each member's margin, Reset. Sparse margins
-	// are lower bounds on the exact ones, so a declared success is always
-	// a true success — the protocol stays correct, at worst a failed
-	// attempt is re-contended. The dense cache keeps the row-sum check
-	// below: running it on trackers measured 10–19% slower for build plus
-	// run at n = 512 and n = 2000.
+	eng := affect.Resolve(m, sinr.Bidirectional, in, powers)
+	signals := eng.Signals()
+	// The dense engine checks each success with its row sums, through the
+	// model's margin formula: running the checks on its trackers measured
+	// 10–19% slower for build plus run at n = 512 and n = 2000. Every
+	// other engine (sparse, direct) runs them on one recycled
+	// sinr.SetTracker: add the slot's active set, read each member's
+	// margin, Reset. Sparse margins are lower bounds on the exact ones, so
+	// a declared success is always a true success — the protocol stays
+	// correct, at worst a failed attempt is re-contended.
 	var tracker sinr.SetTracker
-	if tp, ok := m.CacheFor(in, powers).(sinr.TrackerProvider); ok {
-		tracker = tp.NewSetTracker(m, sinr.Bidirectional)
+	if _, dense := eng.(affect.Rows); !dense {
+		tracker = eng.NewSetTracker(m, sinr.Bidirectional)
 	}
 	s := problem.NewSchedule(in.N())
 	copy(s.Powers, powers)
@@ -156,7 +158,8 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 			}
 		} else {
 			for _, i := range active {
-				if m.RequestFeasible(in, sinr.Bidirectional, powers, active, i) {
+				u, v := eng.InterferenceBound(active, i)
+				if m.SignalMargin(sinr.Bidirectional, signals[i], u, v) >= -sinr.Tol {
 					succeeded = append(succeeded, i)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/affect"
 	"repro/internal/affect/sparse"
 	"repro/internal/instance"
 	"repro/internal/power"
@@ -161,17 +162,19 @@ func TestProtocolValidityProperty(t *testing.T) {
 	}
 }
 
-// countingProvider wraps a tracker-providing cache and records whether
-// the simulator asked it for a tracker and got one.
+// countingProvider wraps an affectance engine and records whether the
+// simulator asked it for a tracker and got one. It embeds the whole
+// affect.Engine face: a wrapper without it would resolve to the direct
+// engine, as for every consumer.
 type countingProvider struct {
-	sinr.Cache
+	affect.Engine
 	calls      int
 	gotTracker bool
 }
 
 func (c *countingProvider) NewSetTracker(m sinr.Model, v sinr.Variant) sinr.SetTracker {
 	c.calls++
-	tr := c.Cache.(sinr.TrackerProvider).NewSetTracker(m, v)
+	tr := c.Engine.NewSetTracker(m, v)
 	if tr != nil {
 		c.gotTracker = true
 	}
@@ -201,7 +204,7 @@ func TestTrackerPathMatchesOracle(t *testing.T) {
 	// actually engaged — a silent regression to the row/direct fallback
 	// would still drain and still pass the oracle, so without this the
 	// test could not tell the feature from its absence.
-	counting := &countingProvider{Cache: eng}
+	counting := &countingProvider{Engine: eng}
 	res, err := p.Run(m.WithCache(counting), in, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)

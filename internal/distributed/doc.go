@@ -18,11 +18,13 @@
 //   - Protocol configures the scheme (assignment, probabilities, backoff,
 //     slot budget); Default returns the experiments' parameters.
 //   - Protocol.Run / RunContext simulate the protocol and report the
-//     induced Schedule plus Slots/Attempts/Failures counters. Unless the
-//     model carries a covering engine, the simulator precomputes the
-//     affectance matrices (package affect) so each slot's SINR success
-//     checks are row sums; a pre-attached tracker provider (the sparse
-//     engine, so the protocol scales past the dense memory wall, or the
-//     matrix-free direct engine with the cache off) runs the checks on
-//     one recycled sinr.SetTracker instead.
+//     induced Schedule plus Slots/Attempts/Failures counters. The
+//     simulator takes its engine from affect.Resolve, precomputing the
+//     dense affectance matrices unless the model carries a covering
+//     engine. Over the dense engine each slot's SINR success checks are
+//     row sums (affect.Rows.InterferenceBound) turned into margins by
+//     the model's formula (sinr.Model.SignalMargin); over any other
+//     engine (the sparse one, so the protocol scales past the dense
+//     memory wall, or the matrix-free direct engine with the cache off)
+//     they run on one recycled sinr.SetTracker.
 package distributed

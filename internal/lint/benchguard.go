@@ -8,7 +8,7 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// BenchGuard keeps the BENCH_*.json numbers honest: a Benchmark function
+// BenchGuard keeps the Go benchmarks' numbers honest: a Benchmark function
 // (or a sub-benchmark literal passed to b.Run) that performs setup work
 // before its timed b.N loop must neutralize that work with b.ResetTimer
 // — or bracket it in b.StopTimer/b.StartTimer. Benchmarks using

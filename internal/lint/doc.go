@@ -13,7 +13,7 @@
 //     Stats.Engine is always populated, and internal packages carry a
 //     doc.go.
 //   - benchguard: Benchmark functions reset the timer after setup so
-//     BENCH_*.json numbers measure the algorithm, not the harness.
+//     their numbers measure the algorithm, not the harness.
 //
 // The analyzers run over cmd/oblint (and through make lint / CI); their
 // semantics are specified by the analysistest fixtures under testdata.

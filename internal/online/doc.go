@@ -8,10 +8,10 @@
 // A deployed MAC layer sees the opposite regime — continuous churn — and
 // this package closes that gap on top of the incremental machinery of
 // package affect: the Engine keeps one sinr.SetTracker per slot (color)
-// from the engine affect.Resolve picks — the precomputed dense matrices,
-// or a sparse grid engine the model carries — so admission probes,
-// departures, and repair migrations are all incremental accumulator
-// updates.
+// from the engine affect.Resolve picks — the precomputed dense matrices
+// or a sparse grid engine the model carries, else the matrix-free direct
+// engine — so admission probes, departures, and repair migrations are
+// all incremental accumulator updates.
 //
 // Three admission policies decide where an arrival lands (FirstFit,
 // BestFit, PowerFit — the last preserving the longest-first discipline of

@@ -15,10 +15,10 @@ import (
 // Engine maintains a feasible multi-slot schedule for a fixed instance
 // under a stream of Arrive/Depart events, without ever recomputing from
 // scratch. Each slot is a sinr.SetTracker of the instance's affectance
-// engine (the dense matrices or the sparse grid), so an arrival costs one
-// O(|slot|) feasibility probe per examined slot and a departure one
-// O(|slot|) accumulator update — versus the O(n²·colors) of re-running a
-// batch solver per event.
+// engine (the dense matrices, the sparse grid, or the matrix-free direct
+// engine), so an arrival costs one O(|slot|) feasibility probe per
+// examined slot and a departure one O(|slot|) accumulator update — versus
+// the O(n²·colors) of re-running a batch solver per event.
 //
 // Every mutation preserves the invariant that each slot passes its
 // tracker's SetFeasible: admission only places a request where CanAdd
@@ -32,8 +32,8 @@ type Engine struct {
 	powers []float64
 	// eng hands out the slot trackers: the engine the model carried for
 	// the variant (a sparse engine runs the slots on its conservative
-	// trackers, so the n×n matrices are never built), else the dense
-	// matrices.
+	// trackers, so the n×n matrices are never built), else the direct
+	// engine.
 	eng  affect.Engine
 	lens []float64 // request lengths, for the power-fit order
 
@@ -139,12 +139,11 @@ func WithThreshold(frac float64) Option { return func(e *Engine) { e.threshold =
 func WithObserver(c *obs.Collector) Option { return func(e *Engine) { e.setObserver(c) } }
 
 // New builds an engine for the given model, instance, variant and powers.
-// If the model carries an affectance engine covering (instance, powers)
-// for the variant it is reused — SolveAll batch stores thread through
-// here — otherwise the dense matrices are built once, which is the only
-// super-linear cost of the engine's lifetime. A matrix-free Direct engine
-// is not reused: the slot trackers are the engine's core data structure,
-// so they get the matrices even under WithAffectanceCache(false).
+// The slot trackers come from the affectance engine affect.Resolve picks:
+// the one the model carries when it covers (instance, powers) for the
+// variant — attach the dense matrices (affect.New) for the fastest
+// events — and the matrix-free Direct engine otherwise, which needs O(n)
+// memory and computes each pair on demand.
 func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, opts ...Option) (*Engine, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -200,9 +199,6 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 		return nil, fmt.Errorf("online: repair budget must be ≥ 1, got %d", e.repairBudget)
 	}
 	e.eng = affect.Resolve(m, v, in, e.powers)
-	if _, direct := e.eng.(*affect.Direct); direct {
-		e.eng = affect.Resolve(m.WithCache(affect.New(m, v, in, e.powers)), v, in, e.powers)
-	}
 	return e, nil
 }
 

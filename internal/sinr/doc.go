@@ -15,14 +15,18 @@
 //   - Model carries (α, β, ν) and answers every interference question:
 //     Loss/RequestLoss (with fast paths for integer exponents), Margin,
 //     RequestFeasible, SetFeasible, WorstMargin, and the schedule
-//     validator CheckSchedule.
+//     validator CheckSchedule. It is the one place the SINR constraint is
+//     evaluated against an instance, always by direct computation, so it
+//     is the oracle every affectance engine is checked against;
+//     SignalMargin is its margin formula for consumers that sum
+//     interference through an engine.
 //   - Variant selects Directed (Section 1.1's sender→receiver
 //     constraints) or Bidirectional (both endpoints must decode; the
 //     variant Theorem 2 is about).
-//   - Cache is the hook for the precomputed affectance engine of package
-//     affect: Model.WithCache attaches one, and the interference queries
-//     delegate to it whenever it Covers their (instance, powers) pair,
-//     falling back to the direct computation otherwise. Cached and
-//     uncached paths agree bitwise, so the uncached path remains the
-//     oracle.
+//   - Cache is the key under which a model carries a precomputed
+//     affectance engine (package affect): Model.WithCache attaches one,
+//     and affect.Resolve hands it to the consumers when it Covers their
+//     (instance, powers) pair. The model's own queries never read it.
+//   - SetTracker and TrackerProvider are the incremental feasibility
+//     interface the engines implement and every scheduler drives.
 package sinr

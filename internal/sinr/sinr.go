@@ -42,50 +42,22 @@ type Model struct {
 	// Noise is the ambient noise ν ≥ 0. The paper's analysis uses ν = 0.
 	Noise float64
 
-	// cache is the optional precomputed affectance engine the interference
-	// queries delegate to when it covers their (instance, powers) pair.
-	// Attach with WithCache; package affect provides the implementation.
+	// cache is the optional precomputed affectance engine carried for the
+	// consumers that resolve one (package affect); the model's own
+	// queries never read it. Attach with WithCache.
 	cache Cache
 }
 
-// Cache is the hook through which a precomputed affectance engine (package
-// affect) accelerates the Model's interference queries. A cache is built
-// for one (instance, path-loss exponent, powers) tuple; the gain β and the
-// noise ν enter only at query time, so a cache survives WithBeta.
-//
-// Row/column accessors return nil when the cache was not built for the
-// corresponding variant, in which case the Model falls back to the direct
-// computation. All returned slices have one entry per request; the diagonal
-// entry (a request's effect on itself) is stored as zero and must be
-// skipped by exclusion logic, exactly as the direct loops skip j == i.
+// Cache is the key under which a model carries a precomputed affectance
+// engine (package affect) to the consumers that resolve one. An engine is
+// built for one (instance, path-loss exponent, powers) tuple; the gain β
+// and the noise ν enter only at query time, so an engine survives
+// WithBeta. The model's own interference queries always compute directly:
+// they are the oracle every engine is checked against.
 type Cache interface {
-	// Covers reports whether the cache was built for this instance, this
-	// path-loss exponent, and powers equal to these (the slice passed at
-	// build time, or any slice with bitwise-equal contents).
+	// Covers reports whether the engine was built for this instance, this
+	// path-loss exponent, and powers bitwise equal to these.
 	Covers(in *problem.Instance, alpha float64, powers []float64) bool
-	// DirectedInto returns row i of the directed affectance matrix:
-	// entry j is p_j/ℓ(u_j, v_i), the interference request j's sender adds
-	// at request i's receiver. Nil unless built for the directed variant.
-	DirectedInto(i int) []float64
-	// DirectedFrom is the transpose view: entry i of row j is the
-	// interference request j's sender adds at request i's receiver.
-	DirectedFrom(j int) []float64
-	// IntoU returns row i of the bidirectional affectance matrix at
-	// endpoint U: entry j is p_j/min{ℓ(u_j,u_i), ℓ(v_j,u_i)}. Nil unless
-	// built for the bidirectional variant.
-	IntoU(i int) []float64
-	// IntoV is IntoU at request i's V endpoint.
-	IntoV(i int) []float64
-	// FromU is the transpose of IntoU: entry i of row j is the
-	// interference request j adds at request i's U endpoint.
-	FromU(j int) []float64
-	// FromV is the transpose of IntoV.
-	FromV(j int) []float64
-	// Signals returns p_i/ℓ_i for every request: the received signal
-	// strength at a request's own endpoint.
-	Signals() []float64
-	// Losses returns the endpoint loss ℓ_i of every request.
-	Losses() []float64
 }
 
 // SetTracker is the incremental set-feasibility engine the schedulers
@@ -143,18 +115,20 @@ type TrackerProvider interface {
 	NewSetTracker(m Model, v Variant) SetTracker
 }
 
-// WithCache returns a copy of the model with the affectance cache
-// attached. Interference queries consult the cache only when it Covers
-// their instance and powers, so attaching a cache never changes results —
-// it only changes how they are computed. Attach nil to detach.
+// WithCache returns a copy of the model with the affectance engine
+// attached for affect.Resolve to find. The model's own queries ignore it,
+// and consumers use it only when it Covers their instance and powers, so
+// attaching an engine never changes results — it only changes how they
+// are computed. Attach nil to detach.
 func (m Model) WithCache(c Cache) Model {
 	m.cache = c
 	return m
 }
 
-// CacheFor returns the attached cache if it covers the given instance and
-// powers under this model's path-loss exponent, and nil otherwise. Hot
-// loops call it once and then index rows directly.
+// CacheFor returns the attached engine if it covers the given instance
+// and powers under this model's path-loss exponent, and nil otherwise.
+// Covers compares the powers in O(n), so callers ask once per solve, not
+// per query.
 func (m Model) CacheFor(in *problem.Instance, powers []float64) Cache {
 	if m.cache != nil && m.cache.Covers(in, m.Alpha, powers) {
 		return m.cache
@@ -263,17 +237,6 @@ func (m Model) MinLossToNode(in *problem.Instance, j, w int) float64 {
 // request i from the senders of the other requests in set, under the given
 // powers: Σ_{j∈set, j≠i} p_j / ℓ(u_j, v_i).
 func (m Model) DirectedInterference(in *problem.Instance, powers []float64, set []int, i int) float64 {
-	if c := m.CacheFor(in, powers); c != nil {
-		if row := c.DirectedInto(i); row != nil {
-			var sum float64
-			for _, j := range set {
-				if j != i {
-					sum += row[j]
-				}
-			}
-			return sum
-		}
-	}
 	vi := in.Reqs[i].V
 	var sum float64
 	for _, j := range set {
@@ -287,9 +250,8 @@ func (m Model) DirectedInterference(in *problem.Instance, powers []float64, set 
 
 // BidirectionalInterference returns the interference received at node w from
 // the requests in set (excluding request excl, or none if excl < 0):
-// Σ_j p_j / min{ℓ(u_j,w), ℓ(v_j,w)}. The node w is arbitrary, so this
-// method cannot consult the affectance cache; when w is an endpoint of a
-// request, prefer RequestInterferenceU / RequestInterferenceV.
+// Σ_j p_j / min{ℓ(u_j,w), ℓ(v_j,w)}. When w is an endpoint of a request,
+// RequestInterferenceU / RequestInterferenceV name it by its request.
 func (m Model) BidirectionalInterference(in *problem.Instance, powers []float64, set []int, w, excl int) float64 {
 	var sum float64
 	for _, j := range set {
@@ -302,37 +264,14 @@ func (m Model) BidirectionalInterference(in *problem.Instance, powers []float64,
 }
 
 // RequestInterferenceU returns the bidirectional interference received at
-// the U endpoint of request i from the requests of set other than i. It is
-// BidirectionalInterference at node u_i with excl = i, but can delegate to
-// the affectance cache because the node is identified by its request.
+// the U endpoint of request i from the requests of set other than i: it
+// is BidirectionalInterference at node u_i with excl = i.
 func (m Model) RequestInterferenceU(in *problem.Instance, powers []float64, set []int, i int) float64 {
-	if c := m.CacheFor(in, powers); c != nil {
-		if row := c.IntoU(i); row != nil {
-			var sum float64
-			for _, j := range set {
-				if j != i {
-					sum += row[j]
-				}
-			}
-			return sum
-		}
-	}
 	return m.BidirectionalInterference(in, powers, set, in.Reqs[i].U, i)
 }
 
 // RequestInterferenceV is RequestInterferenceU at request i's V endpoint.
 func (m Model) RequestInterferenceV(in *problem.Instance, powers []float64, set []int, i int) float64 {
-	if c := m.CacheFor(in, powers); c != nil {
-		if row := c.IntoV(i); row != nil {
-			var sum float64
-			for _, j := range set {
-				if j != i {
-					sum += row[j]
-				}
-			}
-			return sum
-		}
-	}
 	return m.BidirectionalInterference(in, powers, set, in.Reqs[i].V, i)
 }
 
@@ -342,30 +281,34 @@ func (m Model) RequestInterferenceV(in *problem.Instance, powers []float64, set 
 // diagnosing near-violations and for greedy thinning.
 func (m Model) DirectedMargin(in *problem.Instance, powers []float64, set []int, i int) float64 {
 	signal := powers[i] / m.RequestLoss(in, i)
-	demand := m.Beta * (m.DirectedInterference(in, powers, set, i) + m.Noise)
-	if signal == 0 {
-		return math.Inf(-1)
-	}
-	return (signal - demand) / signal
+	return m.SignalMargin(Directed, signal, m.DirectedInterference(in, powers, set, i), 0)
 }
 
 // BidirectionalMargin returns the worse of the two endpoint margins of
 // request i within set, normalized by the signal strength.
 func (m Model) BidirectionalMargin(in *problem.Instance, powers []float64, set []int, i int) float64 {
 	signal := powers[i] / m.RequestLoss(in, i)
+	return m.SignalMargin(Bidirectional, signal,
+		m.RequestInterferenceU(in, powers, set, i), m.RequestInterferenceV(in, powers, set, i))
+}
+
+// SignalMargin is the margin formula of DirectedMargin and
+// BidirectionalMargin, for a request whose own signal p_i/ℓ_i is signal:
+// (signal − β·(interf1 + ν)) / signal at its receiver (directed; interf2
+// is ignored), or the worse of that and the same at interf2 for its U and
+// V endpoints (bidirectional). Consumers that sum a request's
+// interference through an engine (affect.Engine.InterferenceBound) turn
+// the sums into margins here, so their margins are the model's.
+func (m Model) SignalMargin(v Variant, signal, interf1, interf2 float64) float64 {
 	if signal == 0 {
 		return math.Inf(-1)
 	}
+	if v == Directed {
+		return (signal - m.Beta*(interf1+m.Noise)) / signal
+	}
 	worst := math.Inf(1)
-	for side := 0; side < 2; side++ {
-		var interf float64
-		if side == 0 {
-			interf = m.RequestInterferenceU(in, powers, set, i)
-		} else {
-			interf = m.RequestInterferenceV(in, powers, set, i)
-		}
-		demand := m.Beta * (interf + m.Noise)
-		if mg := (signal - demand) / signal; mg < worst {
+	for _, interf := range [2]float64{interf1, interf2} {
+		if mg := (signal - m.Beta*(interf+m.Noise)) / signal; mg < worst {
 			worst = mg
 		}
 	}

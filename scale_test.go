@@ -1,7 +1,5 @@
 // Scale coverage: the evaluation sizes of the seed experiments (512) and
 // the sparse affectance engine's production sizes (2000–50000).
-// BenchmarkSparseScale emits BENCH_scale.json through the shared
-// internal/benchio recorder flushed by TestMain in bench_test.go.
 package oblivious_test
 
 import (
@@ -17,7 +15,6 @@ import (
 	oblivious "repro"
 	"repro/internal/affect"
 	"repro/internal/affect/sparse"
-	"repro/internal/benchio"
 	"repro/internal/coloring"
 	"repro/internal/instance"
 	"repro/internal/power"
@@ -139,27 +136,14 @@ func TestSparseSolveScale(t *testing.T) {
 	}
 }
 
-// scaleRow is one row of BENCH_scale.json: a greedy solve (engine build
-// + coloring) at one size and engine mode, with the schedule length the
-// conservative margins cost.
-type scaleRow struct {
-	Benchmark string `json:"benchmark"`
-	N         int    `json:"n"`
-	Solver    string `json:"solver"`
-	Mode      string `json:"mode"`
-	Colors    int    `json:"peak_slots"`
-	benchio.Metrics
-}
-
-var scaleRec = benchio.NewRecorder("BENCH_scale.json")
-
 // BenchmarkSparseScale is the acceptance benchmark of the sparse engine:
 // an end-to-end greedy solve (engine build included) at n ∈ {2000,
 // 10000, 50000}. Dense runs only at 2000 — at 10000 its matrices already
 // need ≈3 GB and at 50000 ≈120 GB, which is the point of the sparse
 // engine; n=50000 itself is opt-in via OBLIVIOUS_SCALE_FULL=1 (minutes
-// of runtime). Every sparse schedule is cross-checked against the dense
-// oracle untimed.
+// of runtime). Every sub-benchmark reports its schedule length as
+// colors, and every schedule is cross-checked against the exact oracle
+// untimed.
 func BenchmarkSparseScale(b *testing.B) {
 	m := sinr.Default()
 	for _, n := range []int{2000, 10000, 50000} {
@@ -178,7 +162,6 @@ func BenchmarkSparseScale(b *testing.B) {
 				runtime.GC()
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 				var sched *oblivious.Schedule
-				cp := benchio.Begin()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					mm := m
@@ -198,15 +181,12 @@ func BenchmarkSparseScale(b *testing.B) {
 					sched = s
 				}
 				b.StopTimer()
-				met := cp.End(b)
-				// Dense-oracle cross-check of the produced schedule, untimed:
-				// the model carries no cache here, so every margin is the
-				// direct exact computation.
+				// Oracle cross-check of the produced schedule, untimed: every
+				// model margin is the direct exact computation.
 				if err := m.CheckSchedule(in, sinr.Bidirectional, sched); err != nil {
 					b.Fatalf("%s schedule fails the dense oracle: %v", mode, err)
 				}
-				scaleRec.Record(fmt.Sprintf("SparseScale/%07d/greedy/%s", n, mode),
-					scaleRow{Benchmark: "SparseScale", N: n, Solver: "greedy", Mode: mode, Colors: sched.NumColors(), Metrics: met})
+				b.ReportMetric(float64(sched.NumColors()), "colors")
 			})
 		}
 	}
@@ -232,7 +212,6 @@ func BenchmarkSparseScale(b *testing.B) {
 				runtime.GC()
 				var sched *oblivious.Schedule
 				var stats oblivious.Stats
-				cp := benchio.Begin()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := oblivious.Lookup(solver).Solve(context.Background(), m, in,
@@ -243,15 +222,13 @@ func BenchmarkSparseScale(b *testing.B) {
 					sched, stats = res.Schedule, res.Stats
 				}
 				b.StopTimer()
-				met := cp.End(b)
 				if stats.Engine != "sparse" {
 					b.Fatalf("%s ran on engine %q, want sparse", solver, stats.Engine)
 				}
 				if err := m.CheckSchedule(in, sinr.Bidirectional, sched); err != nil {
 					b.Fatalf("%s schedule fails the dense oracle: %v", solver, err)
 				}
-				scaleRec.Record(fmt.Sprintf("SparseScale/%07d/%s/sparse", n, solver),
-					scaleRow{Benchmark: "SparseScale", N: n, Solver: solver, Mode: "sparse", Colors: sched.NumColors(), Metrics: met})
+				b.ReportMetric(float64(sched.NumColors()), "colors")
 			})
 		}
 	}

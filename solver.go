@@ -55,16 +55,15 @@ type Stats struct {
 	Elapsed time.Duration
 	// Engine names the affectance engine the solve's mode resolved to for
 	// the instance — "dense" or "sparse" — or "off" when the cache was
-	// disabled with WithAffectanceCache(false). It reports the resolved
-	// selection, not the mode requested: an auto mode that resolved to
-	// dense (small instance, coordinate-free metric, ε = 0) says so here.
-	// Two solvers qualify the scalar: the online solver, whose trackers
-	// require an engine, reports "dense" even with the cache option off
-	// because that is what it builds; and the pipeline re-resolves the
-	// mode per restricted instance it extracts a class from (and thins
-	// kept sets below 32 on the direct engine), so "sparse" there means
-	// the selection at the full instance, with the shrinking tail free to
-	// drop to dense under auto.
+	// disabled with WithAffectanceCache(false) and the solve ran on the
+	// matrix-free direct engine. It reports the resolved selection, not
+	// the mode requested: an auto mode that resolved to dense (small
+	// instance, coordinate-free metric, ε = 0) says so here. The pipeline
+	// qualifies the scalar: it re-resolves the mode per restricted
+	// instance it extracts a class from (and thins kept sets below 32 on
+	// the direct engine), so "sparse" there means the selection at the
+	// full instance, with the shrinking tail free to drop to dense under
+	// auto.
 	Engine string
 	// LP carries the LP-based coloring diagnostics (lp solver only).
 	LP *LPStats
@@ -142,10 +141,6 @@ type Options struct {
 	RetryAttempts int
 	RetryBackoff  time.Duration
 
-	// caches is the per-batch cache store SolveAll shares across its
-	// workers, so solving the same instance repeatedly (solver sweeps,
-	// seed sweeps) fills the matrices once. Nil outside SolveAll.
-	caches *affect.Store
 	// fellBack is set by buildEngine when an auto-resolved sparse build
 	// failed and dense matrices were built instead, so Stats.Engine
 	// reports the engine that actually ran. A shared pointer because
@@ -231,7 +226,7 @@ func (mode AffectanceMode) Resolve(in *Instance, eps float64) AffectanceMode {
 		if eps == 0 {
 			// The documented degeneration: ε = 0 keeps every pair exact,
 			// which is the dense engine bitwise — resolve (and report) it
-			// as such so the run can share the dense batch store.
+			// as such.
 			return AffectDense
 		}
 		return mode
@@ -265,14 +260,12 @@ func WithValidation(on bool) Option { return func(o *Options) { o.Validate = on 
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithAffectanceCache toggles the precomputed affectance engine on the
-// SINR hot path (default on). Off, the solvers run on the matrix-free
-// direct engine (affect.Direct), which computes every pair on demand with
-// the formulas the matrices are filled with — the results agree bitwise —
-// so turning it off is only useful for measuring the cache's effect or
-// bounding memory (the matrices take O(n²) floats per instance). The
-// online solver is the exception: its per-slot trackers are built on the
-// matrices, so it always constructs a cache and this option only controls
-// whether the cache is shared with a SolveAll batch store.
+// SINR hot path (default on). Off, all five solvers run on the
+// matrix-free direct engine (affect.Direct), which computes every pair on
+// demand with the formulas the matrices are filled with — the results
+// agree bitwise — so turning it off is only useful for measuring the
+// cache's effect or bounding memory (the matrices take O(n²) floats per
+// instance; the direct engine O(n)).
 func WithAffectanceCache(on bool) Option { return func(o *Options) { o.Affectance = on } }
 
 // WithAffectanceMode selects the affectance engine: AffectDense for the
@@ -332,10 +325,6 @@ func WithRetry(attempts int, backoff time.Duration) Option {
 	}
 }
 
-// withCacheStore hands the workers of one SolveAll batch a shared
-// per-instance cache store.
-func withCacheStore(s *affect.Store) Option { return func(o *Options) { o.caches = s } }
-
 // sparseBuild is the sparse-engine constructor, a variable so the
 // resilience tests can force build failures.
 var sparseBuild = sparse.For
@@ -351,9 +340,7 @@ const fallbackDenseBytes = int64(2) << 30
 // for (instance, variant, powers) — the matrix-free direct engine when the
 // cache is off. It is the single mode→constructor mapping: attachCache and
 // the pipeline's per-sub-instance stage-5 builder both go through it, so
-// the two cannot diverge. The batch store dedupes dense matrices only; a
-// sparse engine is cheap relative to the solves that select it, so each
-// build is per-solve.
+// the two cannot diverge.
 func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64) (sinr.Cache, error) {
 	if !o.Affectance {
 		return affect.NewDirect(m, v, in, powers), nil
@@ -386,14 +373,8 @@ func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64)
 			if o.Obs.Enabled() {
 				o.Obs.Counter("resilience/fallbacks").Inc()
 			}
-			if o.caches != nil {
-				c = o.caches.For(m, v, in, powers)
-			} else {
-				c = affect.New(m, v, in, powers)
-			}
+			c = affect.New(m, v, in, powers)
 		}
-	case o.caches != nil:
-		c = o.caches.For(m, v, in, powers)
 	default:
 		c = affect.New(m, v, in, powers)
 	}
@@ -403,8 +384,7 @@ func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64)
 	if o.Obs.Enabled() {
 		// Build latency is a histogram (the pipeline builds one engine per
 		// kept class, so the distribution matters); resident bytes is a
-		// last-build gauge. The batch-store path times the store lookup —
-		// near-zero on a hit, which is exactly the sharing it should show.
+		// last-build gauge.
 		name := "affect"
 		if isSparse {
 			name = "sparse"
@@ -432,9 +412,9 @@ func denseBytes(in *Instance, v Variant) int64 {
 
 // attachCache returns m with the affectance engine for (variant,
 // instance, powers) attached, honoring WithAffectanceCache,
-// WithAffectanceMode and WithEpsilon, and reusing the batch store when
-// SolveAll provides one. It fails when the sparse engine is forced on a
-// metric without coordinates or the epsilon budget is invalid.
+// WithAffectanceMode and WithEpsilon. It fails when the sparse engine is
+// forced on a metric without coordinates or the epsilon budget is
+// invalid.
 func (o Options) attachCache(m Model, in *Instance, v Variant, powers []float64) (Model, error) {
 	if o.Epsilon < 0 || math.IsNaN(o.Epsilon) {
 		// Rejected up front, regardless of which engine the mode resolves
@@ -554,9 +534,7 @@ func (s solverFunc) Solve(ctx context.Context, m Model, in *Instance, opts ...Op
 	if res.Stats.Engine == "" {
 		// Report the engine the solve ran on, not the one requested: the
 		// single Resolve predicate keeps this in lockstep with attachCache,
-		// so an auto→dense resolution is visible instead of silent. Cores
-		// that build an engine regardless of the option (online) have
-		// already filled the field themselves.
+		// so an auto→dense resolution is visible instead of silent.
 		if o.Affectance {
 			res.Stats.Engine = o.Mode.Resolve(in, o.Epsilon).String()
 		} else {
@@ -674,9 +652,9 @@ func solveGreedy(_ context.Context, m Model, in *Instance, o Options) (*Result, 
 // them — exercising the departure-repair strategy — so the run ends with
 // every request active and the engine's slot assignment is a complete
 // schedule. Admission and repair are selected with WithAdmission /
-// WithRepair; the engine counters land in Stats.Online. The affectance
-// matrices are the engine's core data structure, so unlike the batch
-// solvers it builds them even under WithAffectanceCache(false).
+// WithRepair; the engine counters land in Stats.Online. The slot trackers
+// come from the engine attachCache attaches, like every solver's: the
+// direct engine under WithAffectanceCache(false).
 func solveOnline(ctx context.Context, m Model, in *Instance, o Options) (*Result, error) {
 	adm, err := online.ParseAdmission(o.Admission)
 	if err != nil {
@@ -741,13 +719,7 @@ func solveOnline(ctx context.Context, m Model, in *Instance, o Options) (*Result
 		}
 	}
 	st := eng.Stats()
-	res := &Result{Schedule: eng.Snapshot(), Stats: Stats{Online: &st}}
-	if !o.Affectance {
-		// The engine's trackers need the matrices even with the cache
-		// option off, so the solve really ran dense; say so.
-		res.Stats.Engine = AffectDense.String()
-	}
-	return res, nil
+	return &Result{Schedule: eng.Snapshot(), Stats: Stats{Online: &st}}, nil
 }
 
 // requireSqrtBidirectional guards the Theorem 2/15 algorithms, which are
@@ -775,9 +747,9 @@ func solveLP(ctx context.Context, m Model, in *Instance, o Options) (*Result, er
 	if err := requireSqrtBidirectional(o); err != nil {
 		return nil, err
 	}
-	// Attach the cache here (rather than letting the coloring build its
-	// own) so a SolveAll batch store can share it; the coloring recognizes
-	// the covering cache on its internally derived powers by value.
+	// Attach the engine here (rather than letting the coloring build its
+	// own) so the affectance options apply; the coloring recognizes the
+	// covering engine on its internally derived powers by value.
 	m, err := o.attachCache(m, in, Bidirectional, power.Powers(m, in, power.Sqrt()))
 	if err != nil {
 		return nil, err
@@ -810,12 +782,8 @@ func solvePipeline(ctx context.Context, m Model, in *Instance, o Options) (*Resu
 	if o.Affectance && o.Mode.Resolve(in, o.Epsilon) == AffectSparse && !sparse.Supported(in.Space) {
 		return nil, sparse.ErrUnsupportedMetric
 	}
-	// The sub-instances are fresh per solve, so routing them through the
-	// SolveAll batch store would only accumulate dead entries.
-	sub := o
-	sub.caches = nil
 	pipe := treestar.Pipeline{Engine: func(mm sinr.Model, subIn *Instance, powers []float64) (sinr.Cache, error) {
-		return sub.buildEngine(mm, subIn, Bidirectional, powers)
+		return o.buildEngine(mm, subIn, Bidirectional, powers)
 	}}
 	s, stats, err := pipe.ColoringWithStats(ctx, m, in, rand.New(rand.NewSource(o.Seed)))
 	if err != nil {
@@ -832,9 +800,9 @@ func solveDistributed(ctx context.Context, m Model, in *Instance, o Options) (*R
 	}
 	p := distributed.Default()
 	p.Assignment = o.Assignment
-	// Pre-attach from the batch store so repeated simulations of one
-	// instance share the matrices; RunContext skips its own build when the
-	// model already carries a covering engine.
+	// Pre-attach the engine the affectance options select; RunContext
+	// skips its own build when the model already carries a covering
+	// engine.
 	m, err := o.attachCache(m, in, Bidirectional, power.Powers(m, in, o.Assignment))
 	if err != nil {
 		return nil, err
@@ -897,11 +865,6 @@ func SolveAll(ctx context.Context, m Model, instances []*Instance, solver Solver
 
 	batchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if o.Affectance && o.caches == nil {
-		// One cache store per batch: workers solving the same instance
-		// (or re-solving across seeds) share the affectance matrices.
-		opts = append(append([]Option(nil), opts...), withCacheStore(affect.NewStore()))
-	}
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex

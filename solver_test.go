@@ -3,6 +3,7 @@ package oblivious
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -444,8 +445,8 @@ func TestWithAffectanceCacheParity(t *testing.T) {
 }
 
 // TestSolveAllSharedCache solves the same instance many times in one
-// batch; the shared store means every worker reuses one set of matrices,
-// and the results must match the unbatched solve.
+// batch, each worker over its own engine, and the results must match the
+// unbatched solve.
 func TestSolveAllSharedCache(t *testing.T) {
 	m := DefaultModel()
 	in, err := instance.UniformRandom(rand.New(rand.NewSource(21)), 40, 150, 1, 6)
@@ -488,17 +489,17 @@ func TestAffectanceModeSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := mm.CacheFor(small, powers)
-		if _, ok := c.(*affect.Direct); ok {
-			return "direct"
-		}
-		switch {
-		case c == nil:
+		switch c := mm.CacheFor(small, powers).(type) {
+		case nil:
 			return "none"
-		case c.IntoU(0) != nil:
+		case *affect.Cache:
 			return "dense"
-		default:
+		case *sparse.Engine:
 			return "sparse"
+		case *affect.Direct:
+			return "direct"
+		default:
+			return fmt.Sprintf("%T", c)
 		}
 	}
 
@@ -533,7 +534,7 @@ func TestAffectanceModeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := mm.CacheFor(big, bigPowers); c == nil || c.IntoU(0) != nil {
+	if _, ok := mm.CacheFor(big, bigPowers).(*sparse.Engine); !ok {
 		t.Errorf("auto at threshold: want the sparse engine")
 	}
 
@@ -658,14 +659,14 @@ func TestStatsReportsEngineUsed(t *testing.T) {
 	if res.Stats.Engine != "dense" {
 		t.Errorf("auto on a matrix metric: Stats.Engine = %q, want dense", res.Stats.Engine)
 	}
-	// The online solver builds its engine regardless of the cache option
-	// and reports what it built.
+	// The online solver runs on the engine the options select, like every
+	// solver: the direct engine with the cache off.
 	online, err := Lookup("online").Solve(context.Background(), m, small, WithAffectanceCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if online.Stats.Engine != "dense" {
-		t.Errorf("online with cache off: Stats.Engine = %q, want dense", online.Stats.Engine)
+	if online.Stats.Engine != "off" {
+		t.Errorf("online with cache off: Stats.Engine = %q, want off", online.Stats.Engine)
 	}
 	if res := mustSolve(t, "online", m, small, WithAffectanceMode(AffectSparse)); res.Stats.Engine != "sparse" {
 		t.Errorf("online forced sparse: Stats.Engine = %q, want sparse", res.Stats.Engine)
