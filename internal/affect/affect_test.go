@@ -70,9 +70,9 @@ func TestCoversIdentityAndValue(t *testing.T) {
 	if !c.Covers(in, m.Alpha, copied) {
 		t.Error("must cover a bitwise-equal copy")
 	}
-	// Second query hits the memo.
+	// A repeated query with the equal copy is covered again.
 	if !c.Covers(in, m.Alpha, copied) {
-		t.Error("memoized copy must still be covered")
+		t.Error("a repeated query with an equal copy must be covered")
 	}
 	other := power.Powers(m, in, power.Linear())
 	if c.Covers(in, m.Alpha, other) {

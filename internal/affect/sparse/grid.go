@@ -6,9 +6,9 @@ import (
 	"repro/internal/geom"
 )
 
-// maxDim is the largest Euclidean dimension the grid buckets. Higher
-// dimensions (and non-coordinate metrics) have no grid; Supported gates
-// them out and For falls back to the dense engine.
+// maxDim is the largest number of axes the grid buckets: geom.Coords
+// reports at most three, and every other metric has no grid (Supported
+// gates it out and For falls back to the dense engine).
 const maxDim = 3
 
 // cellCoord is the integer coordinate of a grid cell; unused trailing
@@ -33,32 +33,24 @@ type grid struct {
 type pointFn func(node int) [maxDim]float64
 
 // points returns a coordinate accessor for the metric, or ok=false when
-// the metric carries no usable geometry (explicit matrices, trees, stars,
-// or Euclidean spaces above maxDim dimensions).
+// the metric is not a metric with coordinates (see geom.Coords).
 func points(space geom.Metric) (fn pointFn, dim int, ok bool) {
-	switch s := space.(type) {
-	case *geom.Euclidean:
-		d := s.Dim()
-		if d > maxDim {
-			return nil, 0, false
-		}
-		return func(node int) [maxDim]float64 {
-			var p [maxDim]float64
-			copy(p[:], s.Point(node))
-			return p
-		}, d, true
-	case *geom.Line:
-		return func(node int) [maxDim]float64 {
-			return [maxDim]float64{s.Coord(node)}
-		}, 1, true
-	default:
+	flat, dim, ok := geom.Coords(space)
+	if !ok || dim > maxDim {
 		return nil, 0, false
 	}
+	return func(node int) [maxDim]float64 {
+		var p [maxDim]float64
+		copy(p[:], flat[node*dim:(node+1)*dim])
+		return p
+	}, dim, true
 }
 
 // Supported reports whether the metric space carries the coordinates the
-// grid decomposition needs: a Euclidean space of at most 3 dimensions or
-// a line metric. For every other metric the dense engine is the only
+// grid decomposition needs — a metric with coordinates in geom.Coords'
+// sense: a Euclidean space of at most 3 dimensions, a line metric, or a
+// Sub view of either (instances keep their base space, so in practice
+// the first two). For every other metric the dense engine is the only
 // affectance cache.
 func Supported(space geom.Metric) bool {
 	_, _, ok := points(space)

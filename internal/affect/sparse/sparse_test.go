@@ -386,8 +386,8 @@ func TestCovers(t *testing.T) {
 	if !eng.Covers(in, m.Alpha, clone) {
 		t.Fatal("value-equal powers rejected")
 	}
-	if !eng.Covers(in, m.Alpha, clone) { // memoized second hit
-		t.Fatal("memoized powers rejected")
+	if !eng.Covers(in, m.Alpha, clone) { // a repeated query with the equal copy
+		t.Fatal("repeated query with value-equal powers rejected")
 	}
 	different := append([]float64(nil), powers...)
 	different[0] *= 2

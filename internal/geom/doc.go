@@ -19,4 +19,17 @@
 //   - MinDist, MaxDist, AspectRatio compute the aspect ratio Δ that the
 //     grid baseline's O(log Δ) factor depends on; ValidateTriangle is the
 //     O(n³) test-only sanity check.
+//   - DistFunc returns a metric's distance with the interface dispatch
+//     peeled off, for the O(n²) loops.
+//   - Coords is the one definition of a metric with coordinates:
+//     Euclidean space up to 3-D, the line, and Sub views of them, as one
+//     flattened array. DistFunc's Sub evaluator, the sparse affectance
+//     engine's request grid and Cells read it.
+//   - Cells is a uniform grid index over such coordinates, built for
+//     exact pruning: nodes outside the cells adjacent to a node's cell
+//     are provably farther than the grid's reach under the metric's own
+//     floating-point distance. MinDist and MaxDist use it, and so do the
+//     HST level assignment and stretch scans (package hst); results stay
+//     bitwise those of the all-pairs scans, which every metric without
+//     coordinates keeps.
 package geom

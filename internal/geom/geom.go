@@ -17,8 +17,9 @@ type Metric interface {
 
 // Euclidean is a set of points in d-dimensional Euclidean space.
 type Euclidean struct {
-	pts [][]float64
-	dim int
+	flat []float64   // flat[i·dim+k] is axis k of point i
+	pts  [][]float64 // pts[i] is point i, a view of flat
+	dim  int
 }
 
 var _ Metric = (*Euclidean)(nil)
@@ -33,14 +34,16 @@ func NewEuclidean(pts [][]float64) (*Euclidean, error) {
 	if dim == 0 {
 		return nil, errors.New("geom: zero-dimensional points")
 	}
-	cp := make([][]float64, len(pts))
+	flat := make([]float64, 0, len(pts)*dim)
+	views := make([][]float64, len(pts))
 	for i, p := range pts {
 		if len(p) != dim {
 			return nil, fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p), dim)
 		}
-		cp[i] = append([]float64(nil), p...)
+		flat = append(flat, p...)
+		views[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	return &Euclidean{pts: cp, dim: dim}, nil
+	return &Euclidean{flat: flat, pts: views, dim: dim}, nil
 }
 
 // N returns the number of points.
@@ -59,9 +62,15 @@ func (e *Euclidean) Dist(i, j int) float64 {
 	if i == j {
 		return 0
 	}
+	return euclid(e.pts[i], e.pts[j])
+}
+
+// euclid is the Euclidean distance formula, the one copy shared by
+// Euclidean.Dist and the flattened evaluator of Sub views, so both run
+// the same operations in the same order.
+func euclid(pi, pj []float64) float64 {
 	var s float64
-	pi, pj := e.pts[i], e.pts[j]
-	for k := 0; k < e.dim; k++ {
+	for k := range pi {
 		d := pi[k] - pj[k]
 		s += d * d
 	}
@@ -320,12 +329,17 @@ type Sub struct {
 	base  Metric
 	nodes []int
 
-	// distOnce/distFn memoize DistFunc's flattened evaluator: the pipeline
-	// resolves the same Sub once per tree build plus once per embedding,
-	// and the flatten is O(n·dim) each time. The memo is concurrency-safe
-	// because concurrent tree builds share one Sub.
-	distOnce sync.Once
-	distFn   func(i, j int) float64
+	// once memoizes the view's resolution for Coords and DistFunc: the
+	// gathered coordinates of a base with coordinates (flat, dim, line)
+	// and the direct evaluator distFn. The pipeline resolves the same Sub
+	// once per tree build plus once per embedding, and the gather is
+	// O(n·dim) each time. The memo is concurrency-safe because
+	// concurrent tree builds share one Sub.
+	once   sync.Once
+	flat   []float64
+	dim    int
+	line   bool
+	distFn func(i, j int) float64
 }
 
 var _ Metric = (*Sub)(nil)
@@ -366,6 +380,81 @@ func (s *Sub) Base(i int) int { return s.nodes[i] }
 // Dist returns the base-metric distance between the mapped nodes.
 func (s *Sub) Dist(i, j int) float64 { return s.base.Dist(s.nodes[i], s.nodes[j]) }
 
+// resolve fills the memo once. A base with coordinates has the selected
+// points gathered into one contiguous array, and the evaluator runs the
+// base's exact distance formula (same operations on the same float
+// values) on it without the per-query node translation or pointer
+// chases; any other base is evaluated through its own DistFunc.
+func (s *Sub) resolve() {
+	s.once.Do(func() {
+		flat, dim, line, ok := coords(s.base)
+		if !ok {
+			inner := DistFunc(s.base)
+			nodes := s.nodes
+			s.distFn = func(i, j int) float64 { return inner(nodes[i], nodes[j]) }
+			return
+		}
+		s.flat = make([]float64, len(s.nodes)*dim)
+		for i, nd := range s.nodes {
+			copy(s.flat[i*dim:(i+1)*dim], flat[nd*dim:(nd+1)*dim])
+		}
+		s.dim, s.line = dim, line
+		if line {
+			xs := s.flat
+			s.distFn = func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) }
+			return
+		}
+		pts := s.flat
+		s.distFn = func(i, j int) float64 {
+			if i == j {
+				return 0
+			}
+			return euclid(pts[i*dim:(i+1)*dim], pts[j*dim:(j+1)*dim])
+		}
+	})
+}
+
+// maxCoordDim is the largest Euclidean dimension Coords reports: the
+// grids built on coordinates visit the 3^dim cells around a cell, which
+// stops paying above three axes.
+const maxCoordDim = 3
+
+// Coords returns the coordinates of a metric with coordinates: a
+// Euclidean space of at most three dimensions, a line (one axis), or a
+// Sub view of either. flat[i·dim+k] is axis k of node i; the slice is
+// shared with the metric and must not be modified. ok is false for every
+// other metric (explicit matrices, trees, stars, Euclidean spaces above
+// three dimensions): those carry no coordinates a grid can use.
+//
+// It is the one definition of "metric with coordinates": DistFunc's
+// flattened Sub evaluator, the Cells index behind MinDist, MaxDist and
+// the HST scans, and the sparse affectance engine's request grid all
+// take their coordinates from here.
+func Coords(m Metric) (flat []float64, dim int, ok bool) {
+	flat, dim, _, ok = coords(m)
+	return flat, dim, ok
+}
+
+// coords is Coords also reporting whether the metric measures |x−y| on a
+// line rather than the Euclidean root of the summed squares: the two
+// formulas can round differently, so DistFunc keeps them apart.
+func coords(m Metric) (flat []float64, dim int, line, ok bool) {
+	switch t := m.(type) {
+	case *Euclidean:
+		if t.dim <= maxCoordDim {
+			return t.flat, t.dim, false, true
+		}
+	case *Line:
+		return t.xs, 1, true, true
+	case *Sub:
+		t.resolve()
+		if t.flat != nil {
+			return t.flat, t.dim, t.line, true
+		}
+	}
+	return nil, 0, false, false
+}
+
 // DistFunc returns a direct evaluator of m.Dist with the interface
 // indirection peeled off: concrete metrics resolve to a bound method
 // (a static call instead of a dynamic dispatch per pair), and a Sub view
@@ -376,10 +465,7 @@ func (s *Sub) Dist(i, j int) float64 { return s.base.Dist(s.nodes[i], s.nodes[j]
 func DistFunc(m Metric) func(i, j int) float64 {
 	switch t := m.(type) {
 	case *Sub:
-		// The flattened evaluator is memoized on the Sub: an HST ensemble
-		// resolves the same restriction once per tree, and re-flattening
-		// O(n·dim) coordinates per resolution was pure waste.
-		t.distOnce.Do(func() { t.distFn = subDistFunc(t) })
+		t.resolve()
 		return t.distFn
 	case *Euclidean:
 		return t.Dist
@@ -396,47 +482,18 @@ func DistFunc(m Metric) func(i, j int) float64 {
 	}
 }
 
-// subDistFunc builds the direct evaluator of a Sub view. Coordinate
-// bases flatten the selected points into one contiguous array: the
-// evaluator then runs the base's exact distance formula (same operations
-// on the same float values) without the per-query node translation or
-// pointer chases.
-func subDistFunc(t *Sub) func(i, j int) float64 {
-	switch base := t.base.(type) {
-	case *Euclidean:
-		dim := base.dim
-		flat := make([]float64, len(t.nodes)*dim)
-		for i, nd := range t.nodes {
-			copy(flat[i*dim:(i+1)*dim], base.pts[nd])
-		}
-		return func(i, j int) float64 {
-			if i == j {
-				return 0
-			}
-			var s float64
-			pi, pj := flat[i*dim:(i+1)*dim], flat[j*dim:(j+1)*dim]
-			for k := 0; k < dim; k++ {
-				d := pi[k] - pj[k]
-				s += d * d
-			}
-			return math.Sqrt(s)
-		}
-	case *Line:
-		xs := make([]float64, len(t.nodes))
-		for i, nd := range t.nodes {
-			xs[i] = base.xs[nd]
-		}
-		return func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) }
-	}
-	inner := DistFunc(t.base)
-	nodes := t.nodes
-	return func(i, j int) float64 { return inner(nodes[i], nodes[j]) }
-}
-
-// MinDist returns the minimum distance over all distinct node pairs.
+// MinDist returns the minimum distance over all distinct node pairs. On
+// a metric with coordinates it tests only the pairs of adjacent cells of
+// a grid fine enough to hold the closest pair (see Cells); the result is
+// bitwise the all-pairs scan's, which every other metric runs.
 func MinDist(m Metric) float64 {
-	n := m.N()
 	dist := DistFunc(m)
+	if c := NewCells(m); c != nil {
+		if d, ok := c.minDist(dist); ok {
+			return d
+		}
+	}
+	n := m.N()
 	best := math.Inf(1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -448,10 +505,18 @@ func MinDist(m Metric) float64 {
 	return best
 }
 
-// MaxDist returns the maximum distance (diameter) over all node pairs.
+// MaxDist returns the maximum distance (diameter) over all node pairs. On
+// a metric with coordinates it skips the cell pairs of a coarse grid
+// whose conservative distance bound falls below the maximum found; the
+// result is bitwise the all-pairs scan's, which every other metric runs.
 func MaxDist(m Metric) float64 {
-	n := m.N()
 	dist := DistFunc(m)
+	if c := NewCells(m); c != nil {
+		if d, ok := c.maxDist(dist); ok {
+			return d
+		}
+	}
+	n := m.N()
 	var best float64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

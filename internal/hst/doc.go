@@ -15,4 +15,15 @@
 //   - BuildEnsemble samples r embeddings; Ensemble.BestCoreTree picks the
 //     tree whose core covers the most nodes (Proposition 7), which is the
 //     tree the Theorem 2 pipeline hands to SelectOnTree.
+//
+// On a metric with coordinates (geom.Coords) the level assignment and
+// the stretch scans behind cores run on a geom.Cells index instead of
+// all pairs: each level's open nodes are claimed center-first by the
+// centers in their adjacent cells, and a stretch scan tests only the
+// pairs closer than the distance ρ beyond which no pair can exceed the
+// bound. The index skips only pairs that provably fail and tests the
+// rest with the metric's distance function and the scans' arithmetic,
+// so every level, core and chosen tree is bitwise the scans'
+// (TestCellIndexMatchesScan). Other metrics, and grids that would not
+// pay, keep the scans.
 package hst

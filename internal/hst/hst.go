@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -33,6 +34,15 @@ type Embedding struct {
 	byNode []int32
 	pow2   []float64
 	dist   func(i, j int) float64
+	// top is the lowest level with a single cluster: no pair separates
+	// above it, which bounds every tree distance (see indexStretch).
+	top int
+
+	// cells is the stretch scans' cell index for the bound cellsBound,
+	// set by BuildEnsembleObserved for its stretch bound; nil (and any
+	// other bound) leaves the scans testing every pair.
+	cells      *geom.Cells
+	cellsBound float64
 }
 
 // finish derives the scan-path accelerators from level/radii/b.
@@ -52,12 +62,19 @@ func (e *Embedding) finish() {
 		p *= 2
 	}
 	e.dist = geom.DistFunc(e.base)
+	e.top = depth - 1
+	for i, lv := range e.level {
+		if slices.Max(lv) == 0 {
+			e.top = i
+			break
+		}
+	}
 }
 
 // sep returns the first index at which the two transposed cluster-id
 // rows agree — the separation level — or the top level if only the root
-// cluster is shared. It is the one copy of the scan behind sepLevel,
-// StretchWithin and violatedMask.
+// cluster is shared. It is the one copy of the walk behind sepLevel and
+// exceeds.
 //
 //oblint:hotpath
 func sep(lu, lv []int32) int {
@@ -67,6 +84,22 @@ func sep(lu, lv []int32) int {
 		}
 	}
 	return len(lu) - 1
+}
+
+// exceeds reports whether the pair (v, u) stretches beyond bound,
+// T(v,u)/d(v,u) > bound with coincident nodes stretching infinitely: the
+// one copy of the stretch test behind StretchWithin and violatedMask, on
+// the cell index and off it.
+//
+//oblint:hotpath
+func (e *Embedding) exceeds(v, u int, bound float64) bool {
+	d := e.dist(v, u)
+	if d == 0 {
+		return true
+	}
+	depth := len(e.level)
+	s := sep(e.byNode[u*depth:(u+1)*depth], e.byNode[v*depth:(v+1)*depth])
+	return 2*e.b*(e.pow2[s]-1)/d > bound
 }
 
 // sepLevel returns the smallest level at which u and v share a cluster.
@@ -143,43 +176,53 @@ func build(base geom.Metric, rng *rand.Rand, minD, maxD float64) (*Embedding, er
 	radii := make([]float64, lmax+1)
 	level[lmax] = make([]int, n) // all zeros: one cluster
 	radii[lmax] = b * math.Pow(2, float64(lmax-1)) / scale
-	// pos[u] is the permutation rank at which u's previous (larger-radius)
-	// level found its center. Radii shrink as the loop descends, so the
-	// qualifying set shrinks and the first qualifying rank can only grow —
-	// each level's scan resumes where the previous one stopped, making the
-	// total scan work per node O(n + levels) instead of O(n·levels). u
-	// itself always qualifies (dist 0) and its rank is never below pos[u],
-	// so every resumed scan terminates.
-	pos := make([]int, n)
+	cl := claimer{dist: dist, perm: perm, pos: make([]int, n), center: make([]int, n), cells: geom.NewCells(base)}
+	// Cluster ids are dense per level, numbered in order of first
+	// appearance of (parent cluster, center) over the nodes. The first
+	// cluster of each center is kept in firstParent/firstID; only a
+	// center whose nodes straddle parent clusters sends its further
+	// clusters through the map.
+	firstParent, firstID := make([]int, n), make([]int, n)
+	type key struct{ parent, center int }
+	more := make(map[key]int)
 	for i := lmax - 1; i >= 0; i-- {
 		r := b * math.Pow(2, float64(i-1)) / scale
 		radii[i] = r
-		cur := make([]int, n)
-		type key struct{ parent, center int }
-		idOf := make(map[key]int, n)
 		// Below the minimum distance no node other than u itself can sit
-		// within r, and u is always within r of itself, so the scan would
-		// crawl to u's own rank and return u — skip it. This keeps the
-		// singleton bottom level(s) O(n).
-		singleton := r < minD
-		for u := 0; u < n; u++ {
-			center := u
-			if !singleton {
-				for k := pos[u]; k < n; k++ {
-					if c := perm[k]; dist(u, c) <= r {
-						center = c
-						pos[u] = k
-						break
-					}
+		// within r, and u is always within r of itself, so every node is
+		// its own center — skip the search. This keeps the singleton
+		// bottom level(s) O(n).
+		if r < minD {
+			for u := range cl.center {
+				cl.center[u] = u
+			}
+		} else {
+			cl.level(r)
+		}
+		cur := make([]int, n)
+		for c := range firstParent {
+			firstParent[c] = -1
+		}
+		clear(more)
+		next := 0
+		for u, c := range cl.center {
+			parent := level[i+1][u]
+			switch {
+			case firstParent[c] < 0:
+				firstParent[c], firstID[c] = parent, next
+				next++
+			case firstParent[c] != parent:
+				k := key{parent: parent, center: c}
+				id, ok := more[k]
+				if !ok {
+					id = next
+					next++
+					more[k] = id
 				}
+				cur[u] = id
+				continue
 			}
-			k := key{parent: level[i+1][u], center: center}
-			id, ok := idOf[k]
-			if !ok {
-				id = len(idOf)
-				idOf[k] = id
-			}
-			cur[u] = id
+			cur[u] = firstID[c]
 		}
 		level[i] = cur
 	}
@@ -214,23 +257,27 @@ func (e *Embedding) Stretch(v int) float64 {
 // predicate of Lemma 6 — with the same pairs and the same arithmetic,
 // but returning false at the first violating partner instead of always
 // paying the full O(n) scan. The ensemble's core computations run on it;
-// Stretch remains for callers that need the value itself.
+// Stretch remains for callers that need the value itself. On a tree
+// indexed for bound (see indexStretch) only v's partners in adjacent
+// cells are tested: no other partner can violate the bound.
 //
 //oblint:hotpath
 func (e *Embedding) StretchWithin(v int, bound float64) bool {
+	if cells := e.stretchCells(bound); cells != nil {
+		var rows [9][2]int32
+		nr := cells.Near(v, &rows)
+		for _, rg := range rows[:nr] {
+			for s := int(rg[0]); s < int(rg[1]); s++ {
+				if u := cells.Node(s); u != v && e.exceeds(v, u, bound) {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	n := e.base.N() //oblint:ignore one O(1) metadata call per scan, not per pair
-	depth := len(e.level)
-	lv := e.byNode[v*depth : (v+1)*depth]
 	for u := 0; u < n; u++ {
-		if u == v {
-			continue
-		}
-		d := e.dist(v, u)
-		if d == 0 {
-			return false // Stretch is +Inf here, above any finite bound
-		}
-		s := sep(e.byNode[u*depth:(u+1)*depth], lv)
-		if 2*e.b*(e.pow2[s]-1)/d > bound {
+		if u != v && e.exceeds(v, u, bound) {
 			return false
 		}
 	}
@@ -242,26 +289,24 @@ func (e *Embedding) StretchWithin(v int, bound float64) bool {
 // pair is evaluated once and charged to both endpoints — half the work of
 // n StretchWithin scans — with the same arithmetic and hence the same
 // verdicts; pairs whose endpoints are both already violated are skipped
-// (their ratio can no longer change any verdict).
+// (their ratio can no longer change any verdict). On a tree indexed for
+// bound only the pairs in adjacent cells are evaluated.
 //
 //oblint:hotpath
 func (e *Embedding) violatedMask(bound float64) []bool {
 	n := e.base.N() //oblint:ignore one O(1) metadata call per scan, not per pair
-	depth := len(e.level)
 	out := make([]bool, n)
-	for v := 0; v < n; v++ {
-		lv := e.byNode[v*depth : (v+1)*depth]
-		for u := v + 1; u < n; u++ {
-			if out[v] && out[u] {
-				continue
-			}
-			d := e.dist(v, u)
-			if d == 0 {
+	if cells := e.stretchCells(bound); cells != nil {
+		cells.Pairs(func(v, u int) {
+			if !(out[v] && out[u]) && e.exceeds(v, u, bound) {
 				out[v], out[u] = true, true
-				continue
 			}
-			s := sep(e.byNode[u*depth:(u+1)*depth], lv)
-			if 2*e.b*(e.pow2[s]-1)/d > bound {
+		})
+		return out
+	}
+	for v := 0; v < n; v++ {
+		for u := v + 1; u < n; u++ {
+			if !(out[v] && out[u]) && e.exceeds(v, u, bound) {
 				out[v], out[u] = true, true
 			}
 		}
@@ -338,6 +383,9 @@ func BuildEnsembleObserved(base geom.Metric, r int, stretchBound float64, rng *r
 		sp := col.StartSpan("pipeline/hst-build")
 		defer sp.End()
 		trees[i], errs[i] = build(base, rand.New(rand.NewSource(seeds[i])), minD, maxD)
+		if errs[i] == nil {
+			trees[i].indexStretch(stretchBound)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -105,7 +105,7 @@ func Solve(p Problem, maxIter int) (*Solution, error) {
 	}
 
 	var iters int
-	for ; iters < maxIter; iters++ {
+	for ; ; iters++ {
 		// Entering variable: Bland's rule (lowest index with negative
 		// reduced cost).
 		enter := -1
@@ -117,6 +117,11 @@ func Solve(p Problem, maxIter int) (*Solution, error) {
 		}
 		if enter < 0 {
 			break // optimal
+		}
+		// The limit bounds the pivots made: it is exceeded only when all
+		// are spent and the tableau still asks for another.
+		if iters == maxIter {
+			return nil, ErrIterationLimit
 		}
 		// Ratio test with Bland tie-breaking on the leaving basis index.
 		leave := -1
@@ -138,9 +143,6 @@ func Solve(p Problem, maxIter int) (*Solution, error) {
 		}
 		pivot(t, leave, enter)
 		basis[leave] = enter
-	}
-	if iters >= maxIter {
-		return nil, ErrIterationLimit
 	}
 
 	x := make([]float64, n)

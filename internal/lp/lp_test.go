@@ -224,3 +224,34 @@ func TestIterationLimit(t *testing.T) {
 		t.Errorf("error = %v, want ErrIterationLimit", err)
 	}
 }
+
+// TestIterationLimitCountsPivots: the limit bounds the pivots made, so a
+// limit equal to the pivot count the solve needs succeeds with the same
+// optimum, and one less fails.
+func TestIterationLimitCountsPivots(t *testing.T) {
+	for _, p := range []Problem{
+		{C: []float64{1}, A: [][]float64{{1}}, B: []float64{0.5}},
+		{C: []float64{1, 1, 1, 1}, A: [][]float64{{1, 1, 1, 1}}, B: []float64{2}},
+		{C: []float64{3, 1, 2}, A: [][]float64{{1, 1, 0}, {0, 1, 1}}, B: []float64{1, 1.5}},
+	} {
+		free, err := Solve(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := free.Iterations
+		exact, err := Solve(p, k)
+		if err != nil {
+			t.Fatalf("limit %d = pivot count: %v", k, err)
+		}
+		for j := range free.X {
+			if math.Float64bits(exact.X[j]) != math.Float64bits(free.X[j]) {
+				t.Errorf("limit %d: X[%d] = %g, want %g", k, j, exact.X[j], free.X[j])
+			}
+		}
+		if k > 1 {
+			if _, err := Solve(p, k-1); !errors.Is(err, ErrIterationLimit) {
+				t.Errorf("limit %d below pivot count %d: error = %v, want ErrIterationLimit", k-1, k, err)
+			}
+		}
+	}
+}
