@@ -14,7 +14,11 @@
 //     package treestar.
 //   - BuildEnsemble samples r embeddings; Ensemble.BestCoreTree picks the
 //     tree whose core covers the most nodes (Proposition 7), which is the
-//     tree the Theorem 2 pipeline hands to SelectOnTree.
+//     tree the Theorem 2 pipeline hands to treestar.SelectOnTree.
+//   - Embedding.Repair is SelectOnTree's final check: it thins a leaf set
+//     to a gain under the square root assignment in the HST metric,
+//     pricing interference from per-level cluster sums instead of pair
+//     distances.
 //
 // On a metric with coordinates (geom.Coords) the level assignment and
 // the stretch scans behind cores run on a geom.Cells index instead of

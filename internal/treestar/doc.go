@@ -7,10 +7,11 @@
 //
 // Exported entry points:
 //
-//   - SelectOnTree realizes Lemma 9: centroid recursion over an explicit
-//     tree, one star selection (Lemma 5) per level, final verification at
-//     the target gain. TreeOptions.Faithful switches between the paper's
-//     worst-case star selection and the practical greedy variant.
+//   - SelectOnTree realizes Lemma 9 on an HST (hst.Embedding): centroid
+//     recursion over its explicit tree, one star selection (Lemma 5) per
+//     level, and the final check at the target gain, which lives in hst
+//     (Embedding.Repair). TreeOptions.Faithful switches between the
+//     paper's worst-case star selection and the practical greedy variant.
 //   - Pipeline chains the stages of Theorem 2: pair→node-loss splitting
 //     (package nodeloss, Section 3.2), HST ensemble and best-core tree
 //     (package hst, Lemma 6/Proposition 7), SelectOnTree, and a final

@@ -138,15 +138,11 @@ func (p Pipeline) runCtx(ctx context.Context, m sinr.Model, in *problem.Instance
 		return nil, nil, err
 	}
 
-	// Stage 3 (Lemmas 5 and 9): explicit tree, centroid decomposition,
-	// per-level star selection. Leaf v of the explicit tree is active node
-	// v of the node-loss instance.
+	// Stage 3 (Lemmas 5 and 9): centroid decomposition of the best tree,
+	// per-level star selection, final check. Leaf v of the tree is active
+	// node v of the node-loss instance.
 	var kept []int
 	if err := stage(ctx, "stage3", func() error {
-		tree, err := ensemble.Trees[bestTree].ExplicitTree()
-		if err != nil {
-			return err
-		}
 		if ar.loss == nil {
 			ar.loss = make(map[int]float64, len(core))
 		} else {
@@ -161,12 +157,12 @@ func (p Pipeline) runCtx(ctx context.Context, m sinr.Model, in *problem.Instance
 		// core stretch (Lemma 8); the final thinning restores the exact pair
 		// gain, so a modest tree gain keeps the kept set large.
 		treeGain := betaNode
-		var treeStats *TreeStats
-		kept, treeStats, err = SelectOnTreeCtx(ctx, m, tree, core, loss, betaNode, treeGain,
+		sel, treeStats, err := SelectOnTreeCtx(ctx, m, ensemble.Trees[bestTree], core, loss, betaNode, treeGain,
 			TreeOptions{Faithful: p.Faithful, scratch: &ar.tree})
 		if err != nil {
 			return err
 		}
+		kept = sel
 		stats.Tree = *treeStats
 		stats.TreeKept = len(kept)
 		return nil

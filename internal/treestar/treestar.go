@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/hst"
 	"repro/internal/par"
 	"repro/internal/sinr"
 	"repro/internal/star"
@@ -36,7 +37,6 @@ type treeScratch struct {
 	// terminal entries are written (and only terminal entries are read),
 	// so it needs no clearing between classes.
 	lossv []float64
-	ix    distIndex
 }
 
 // sized returns the marker arrays for an n-node tree, reallocating only
@@ -63,25 +63,27 @@ type TreeStats struct {
 	// DroppedByStars is the number of terminals dropped by star selections.
 	DroppedByStars int
 	// DroppedRepair is the number of terminals dropped by the final
-	// verification pass on the tree metric.
+	// check on the tree metric (hst.Embedding.Repair).
 	DroppedRepair int
 }
 
-// SelectOnTree realizes Lemma 9 constructively. Given an edge-weighted tree
-// (which may contain Steiner nodes), a set of terminal nodes with loss
-// parameters, and the witness gain betaPrime (the gain for which the
-// terminal set is feasible under some power assignment), it returns a
-// subset of the terminals that is beta-feasible under the square root
-// assignment with respect to the tree shortest-path metric.
+// SelectOnTree realizes Lemma 9 constructively on an HST. Given the
+// embedding, a set of terminal nodes (leaves) with loss parameters, and
+// the witness gain betaPrime (the gain for which the terminal set is
+// feasible under some power assignment), it returns a subset of the
+// terminals that is beta-feasible under the square root assignment with
+// respect to the HST metric.
 //
-// The recursion splits the tree at a centroid c, runs the star selection of
-// Lemma 5 on the star metric induced by the tree distances to c, and
-// recurses into the subtrees; a terminal survives if it survives at every
-// recursion level. Every pair of terminals has its exact tree distance in
-// the star of the level at which it is separated, so the per-level star
-// budgets sum to a global interference bound.
-func SelectOnTree(m sinr.Model, t *geom.Tree, terminals []int, loss map[int]float64, betaPrime, beta float64, opts TreeOptions) ([]int, *TreeStats, error) {
-	return SelectOnTreeCtx(context.Background(), m, t, terminals, loss, betaPrime, beta, opts)
+// The recursion runs on the HST's explicit tree, whose internal nodes are
+// Steiner nodes: it splits the tree at a centroid c, runs the star
+// selection of Lemma 5 on the star metric induced by the tree distances to
+// c, and recurses into the subtrees; a terminal survives if it survives at
+// every recursion level. Every pair of terminals has its exact tree
+// distance in the star of the level at which it is separated, so the
+// per-level star budgets sum to a global interference bound. The
+// survivors then pass the final check at gain beta, Embedding.Repair.
+func SelectOnTree(m sinr.Model, e *hst.Embedding, terminals []int, loss map[int]float64, betaPrime, beta float64, opts TreeOptions) ([]int, *TreeStats, error) {
+	return SelectOnTreeCtx(context.Background(), m, e, terminals, loss, betaPrime, beta, opts)
 }
 
 // frameResult carries one component's parallel-phase output into the
@@ -106,7 +108,7 @@ type frameResult struct {
 // scan orders, and the component numbering are all deterministic, so the
 // kept set is bitwise-identical to the sequential recursion regardless
 // of GOMAXPROCS.
-func SelectOnTreeCtx(ctx context.Context, m sinr.Model, t *geom.Tree, terminals []int, loss map[int]float64, betaPrime, beta float64, opts TreeOptions) ([]int, *TreeStats, error) {
+func SelectOnTreeCtx(ctx context.Context, m sinr.Model, e *hst.Embedding, terminals []int, loss map[int]float64, betaPrime, beta float64, opts TreeOptions) ([]int, *TreeStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -122,6 +124,10 @@ func SelectOnTreeCtx(ctx context.Context, m sinr.Model, t *geom.Tree, terminals 
 	}
 	if missing >= 0 {
 		return nil, nil, fmt.Errorf("treestar: terminal %d has no loss parameter", missing)
+	}
+	t, err := e.ExplicitTree()
+	if err != nil {
+		return nil, nil, err
 	}
 	stats := &TreeStats{}
 	sc := opts.scratch
@@ -253,15 +259,14 @@ func SelectOnTreeCtx(ctx context.Context, m sinr.Model, t *geom.Tree, terminals 
 		wave = next
 	}
 
-	// Final verification on the tree metric at gain beta with greedy repair.
+	// Final check on the HST metric at gain beta.
 	kept := make([]int, 0, len(terminals))
 	for _, v := range terminals {
 		if alive[v] {
 			kept = append(kept, v)
 		}
 	}
-	kept, repaired := repairOnTree(m, t, kept, lossv, beta, &sc.ix)
-	stats.DroppedRepair = repaired
+	kept, stats.DroppedRepair = e.Repair(m, kept, lossv, beta)
 	if len(kept) == 0 {
 		return nil, stats, errors.New("treestar: selection removed every terminal")
 	}
@@ -411,207 +416,6 @@ func componentsWithout(t *geom.Tree, nodes []int, compID []int32, id int32, pos 
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// distIndex answers tree-metric distance queries in O(1): dist(u,v) =
-// wd[u] + wd[v] - 2·wd[lca(u,v)], with the LCA found by a range-minimum
-// over an Euler tour (sparse table). Building is O(n log n); the repair
-// pass below issues O(k²) distance queries, which made Tree.Dist's
-// per-query ancestor walk the measured stage-3 hot spot at scale. The
-// buffers are grow-only scratch, reused across color classes.
-type distIndex struct {
-	wd        []float64 // weighted depth from the DFS root (node 0)
-	depth     []int32   // hop depth, the RMQ key
-	first     []int32   // first Euler position of each node
-	parent    []int32
-	kidx      []int32
-	stack     []int32
-	eulerNode []int32
-	eulerDep  []int32
-	table     []int32 // levels × elen sparse table of min-depth positions
-	lg        []uint8 // floor(log2) lookup
-	elen      int
-}
-
-// build indexes the tree. The DFS runs from node 0 (every tree here is
-// connected — ExplicitTree and the test trees alike).
-func (ix *distIndex) build(t *geom.Tree) {
-	n := t.N()
-	if cap(ix.wd) < n {
-		ix.wd = make([]float64, n)
-		ix.depth = make([]int32, n)
-		ix.first = make([]int32, n)
-		ix.parent = make([]int32, n)
-		ix.kidx = make([]int32, n)
-		ix.stack = make([]int32, 0, n)
-	}
-	wd, depth, first := ix.wd[:n], ix.depth[:n], ix.first[:n]
-	parent, kidx := ix.parent[:n], ix.kidx[:n]
-	clear(kidx)
-	elen := 2*n - 1
-	if cap(ix.eulerNode) < elen {
-		ix.eulerNode = make([]int32, 0, elen)
-		ix.eulerDep = make([]int32, 0, elen)
-	}
-	euler, edep := ix.eulerNode[:0], ix.eulerDep[:0]
-	wd[0], depth[0], first[0], parent[0] = 0, 0, 0, -1
-	euler, edep = append(euler, 0), append(edep, 0)
-	stack := append(ix.stack[:0], 0)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		advanced := false
-		for kidx[u] < int32(t.Degree(int(u))) {
-			v, w := t.Neighbor(int(u), int(kidx[u]))
-			kidx[u]++
-			if int32(v) == parent[u] {
-				continue
-			}
-			parent[v] = u
-			wd[v] = wd[u] + w
-			depth[v] = depth[u] + 1
-			first[v] = int32(len(euler))
-			euler, edep = append(euler, int32(v)), append(edep, depth[v])
-			stack = append(stack, int32(v))
-			advanced = true
-			break
-		}
-		if !advanced {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := stack[len(stack)-1]
-				euler, edep = append(euler, p), append(edep, depth[p])
-			}
-		}
-	}
-	ix.eulerNode, ix.eulerDep, ix.stack = euler, edep, stack[:0]
-	elen = len(euler)
-	ix.elen = elen
-	levels := 1
-	for 1<<levels <= elen {
-		levels++
-	}
-	if cap(ix.table) < levels*elen {
-		ix.table = make([]int32, levels*elen)
-	}
-	tbl := ix.table[:levels*elen]
-	row := tbl[:elen]
-	pi := int32(0)
-	for i := range row {
-		row[i] = pi
-		pi++
-	}
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		prev, row := tbl[(k-1)*elen:k*elen], tbl[k*elen:(k+1)*elen]
-		for i := 0; i+(1<<k) <= elen; i++ {
-			a, b := prev[i], prev[i+half]
-			if edep[b] < edep[a] {
-				a = b
-			}
-			row[i] = a
-		}
-	}
-	if cap(ix.lg) < elen+1 {
-		ix.lg = make([]uint8, elen+1)
-	}
-	lg := ix.lg[:elen+1]
-	for i := 2; i <= elen; i++ {
-		lg[i] = lg[i/2] + 1
-	}
-}
-
-// dist returns the tree shortest-path distance between u and v.
-//
-//oblint:hotpath
-func (ix *distIndex) dist(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	a, b := ix.first[u], ix.first[v]
-	if a > b {
-		a, b = b, a
-	}
-	k := ix.lg[b-a+1]
-	row := ix.table[int(k)*ix.elen:]
-	p, q := row[a], row[int(b)+1-(1<<k)]
-	if ix.eulerDep[q] < ix.eulerDep[p] {
-		p = q
-	}
-	return ix.wd[u] + ix.wd[v] - 2*ix.wd[ix.eulerNode[p]]
-}
-
-// repairOnTree greedily removes terminals until the set is beta-feasible
-// under the square root assignment in the tree metric. It returns the
-// surviving set and the number of removals.
-//
-// The removal order matches the original per-round recomputation — worst
-// normalized offender first, earliest index on ties — but the
-// interference sums are accumulated once up front (O(k²), fanned over
-// the worker pool with per-row sums in member order, so the result is
-// GOMAXPROCS-independent) and maintained incrementally per removal. The
-// offender score factors as score(u) = √ℓ_u · I(u) with I(u) the
-// interference sum, so one accumulator serves both the feasibility test
-// and the removal choice.
-//
-//oblint:hotpath
-func repairOnTree(m sinr.Model, t *geom.Tree, kept []int, loss []float64, beta float64, ix *distIndex) ([]int, int) {
-	k := len(kept)
-	if k == 0 {
-		return kept, 0
-	}
-	ix.build(t)
-	sq := make([]float64, k)
-	for a, v := range kept {
-		sq[a] = math.Sqrt(loss[v])
-	}
-	inter := make([]float64, k)
-	par.ForEach(k, func(a int) {
-		u := kept[a]
-		var sum float64
-		for b, v := range kept {
-			if b == a {
-				continue
-			}
-			sum += sq[b] / m.Loss(ix.dist(u, v))
-		}
-		inter[a] = sum
-	})
-	dead := make([]bool, k)
-	removed := 0
-	for {
-		feasible := true
-		worst, worstScore := -1, math.Inf(-1)
-		for a := 0; a < k; a++ {
-			if dead[a] {
-				continue
-			}
-			if 1/sq[a] < beta*inter[a]*(1-1e-9) {
-				feasible = false
-			}
-			if score := sq[a] * inter[a]; score > worstScore {
-				worstScore = score
-				worst = a
-			}
-		}
-		if feasible || worst < 0 {
-			out := kept[:0]
-			for a := 0; a < k; a++ {
-				if !dead[a] {
-					out = append(out, kept[a])
-				}
-			}
-			return out, removed
-		}
-		dead[worst] = true
-		removed++
-		w := kept[worst]
-		for a := 0; a < k; a++ {
-			if dead[a] {
-				continue
-			}
-			inter[a] -= sq[worst] / m.Loss(ix.dist(kept[a], w))
-		}
-	}
 }
 
 // PipelineStats aggregates diagnostics of one run of the Theorem 2 pipeline.

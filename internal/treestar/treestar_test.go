@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/affect/sparse"
 	"repro/internal/geom"
+	"repro/internal/hst"
 	"repro/internal/instance"
 	"repro/internal/power"
 	"repro/internal/problem"
@@ -33,6 +34,24 @@ func pathTree(t *testing.T, n int) *geom.Tree {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// lineHST embeds n unit-spaced points on a line in a random HST.
+func lineHST(t *testing.T, n int, seed int64) *hst.Embedding {
+	t.Helper()
+	pts := make([]float64, n)
+	for i := range pts {
+		pts[i] = float64(i)
+	}
+	l, err := geom.NewLine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := hst.Build(l, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // fullComp builds the compID/pos stamp arrays marking every node of the
@@ -126,7 +145,7 @@ func TestComponentsWithout(t *testing.T) {
 
 func TestSelectOnTreePostcondition(t *testing.T) {
 	m := sinr.Default()
-	tr := pathTree(t, 32)
+	tr := lineHST(t, 32, 1)
 	terminals := make([]int, 0, 16)
 	loss := make(map[int]float64)
 	rng := rand.New(rand.NewSource(5))
@@ -144,9 +163,9 @@ func TestSelectOnTreePostcondition(t *testing.T) {
 		t.Fatal("empty selection")
 	}
 	if stats.Levels < 2 {
-		t.Errorf("levels = %d, want ≥ 2 on a 32-path", stats.Levels)
+		t.Errorf("levels = %d, want ≥ 2 on a 32-leaf HST", stats.Levels)
 	}
-	// Verify beta-feasibility under √ℓ in the tree metric.
+	// Verify beta-feasibility under √ℓ in the HST metric.
 	for _, u := range kept {
 		var interf float64
 		for _, v := range kept {
@@ -163,7 +182,7 @@ func TestSelectOnTreePostcondition(t *testing.T) {
 
 func TestSelectOnTreeValidation(t *testing.T) {
 	m := sinr.Default()
-	tr := pathTree(t, 4)
+	tr := lineHST(t, 4, 1)
 	if _, _, err := SelectOnTree(m, tr, nil, nil, 1, 1, TreeOptions{}); err == nil {
 		t.Error("no terminals should fail")
 	}
@@ -294,10 +313,10 @@ func TestPipelineFaithfulMode(t *testing.T) {
 }
 
 // TestSelectOnTreeFaithfulPostcondition: the faithful option keeps the
-// feasibility postcondition on the tree metric.
+// feasibility postcondition on the HST metric.
 func TestSelectOnTreeFaithfulPostcondition(t *testing.T) {
 	m := sinr.Default()
-	tr := pathTree(t, 16)
+	tr := lineHST(t, 16, 2)
 	terminals := make([]int, 0, 8)
 	loss := make(map[int]float64)
 	rng := rand.New(rand.NewSource(12))
@@ -363,7 +382,7 @@ func TestPipelineEngineHook(t *testing.T) {
 // the next recursion level with the context's error.
 func TestSelectOnTreeCtxCanceled(t *testing.T) {
 	m := sinr.Default()
-	tr := pathTree(t, 32)
+	tr := lineHST(t, 32, 1)
 	terminals := make([]int, 0, 16)
 	loss := make(map[int]float64)
 	rng := rand.New(rand.NewSource(5))
