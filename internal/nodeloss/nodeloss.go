@@ -205,32 +205,3 @@ func PairsWithBothEndpoints(mapping *PairMapping, nodes []int) []int {
 	}
 	return out
 }
-
-// ThinToGain greedily removes nodes until set is beta-feasible under the
-// given powers, dropping in each round the node that exerts the largest
-// total normalized interference on the others. It mirrors
-// coloring.ThinToGain for the node-loss problem.
-func (nl *Instance) ThinToGain(m sinr.Model, beta float64, powers []float64, set []int) []int {
-	cur := append([]int(nil), set...)
-	for len(cur) > 0 {
-		if nl.Feasible(m, beta, powers, cur) {
-			return cur
-		}
-		worst, worstScore := 0, math.Inf(-1)
-		for a, j := range cur {
-			var score float64
-			for _, i := range cur {
-				if i == j {
-					continue
-				}
-				score += powers[j] / m.Loss(nl.Dist(i, j)) * nl.Loss[i] / powers[i]
-			}
-			if score > worstScore {
-				worstScore = score
-				worst = a
-			}
-		}
-		cur = append(cur[:worst], cur[worst+1:]...)
-	}
-	return cur
-}

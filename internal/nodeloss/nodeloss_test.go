@@ -189,21 +189,3 @@ func TestPairsWithBothEndpoints(t *testing.T) {
 		t.Errorf("pairs = %v, want [0]", got)
 	}
 }
-
-func TestThinToGainNodeLoss(t *testing.T) {
-	m := sinr.Default()
-	l, _ := geom.NewLine([]float64{0, 1, 1.5, 10, 30, 100})
-	nl, err := New(l, []int{0, 1, 2, 3, 4, 5}, []float64{1, 1, 1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := nl.SqrtPowers()
-	all := []int{0, 1, 2, 3, 4, 5}
-	got := nl.ThinToGain(m, 1, p, all)
-	if len(got) == 0 {
-		t.Fatal("thinning removed everything")
-	}
-	if !nl.Feasible(m, 1, p, got) {
-		t.Error("thinned set infeasible")
-	}
-}

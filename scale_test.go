@@ -191,16 +191,16 @@ func BenchmarkSparseScale(b *testing.B) {
 		}
 	}
 
-	// The pipeline and distributed cores ride the same tracker interfaces
-	// since the dense gate fell: solve n=10000 end to end through the
-	// public registry under the forced sparse engine, dense-oracle-checked
-	// untimed. The GC stays on here (unlike the greedy loop above): these
-	// cores are allocation-heavy and the CI scale-smoke job pins their
-	// peak RSS under the same 1 GB ceiling as greedy. The pipeline gets
-	// an additional n=50000 row behind the same OBLIVIOUS_SCALE_FULL=1
+	// The pipeline, distributed and online cores ride the same tracker
+	// interfaces: solve n=10000 end to end through the public registry
+	// under the forced sparse engine, dense-oracle-checked untimed. The GC
+	// stays on here (unlike the greedy loop above): these cores are
+	// allocation-heavy and the CI scale-smoke job pins their peak RSS
+	// under the same 1 GB ceiling as greedy. The pipeline gets an
+	// additional n=50000 row behind the same OBLIVIOUS_SCALE_FULL=1
 	// opt-in as the greedy n=50000 run (the arena + bounded-pool rework
 	// is what makes that size finish at all).
-	for _, solver := range []string{"pipeline", "distributed"} {
+	for _, solver := range []string{"pipeline", "distributed", "online"} {
 		sizes := []int{10000}
 		if solver == "pipeline" && os.Getenv("OBLIVIOUS_SCALE_FULL") != "" {
 			sizes = append(sizes, 50000)

@@ -413,14 +413,9 @@ func denseBytes(in *Instance, v Variant) int64 {
 // attachCache returns m with the affectance engine for (variant,
 // instance, powers) attached, honoring WithAffectanceCache,
 // WithAffectanceMode and WithEpsilon. It fails when the sparse engine is
-// forced on a metric without coordinates or the epsilon budget is
-// invalid.
+// forced on a metric without coordinates. Solve has already rejected an
+// invalid epsilon budget.
 func (o Options) attachCache(m Model, in *Instance, v Variant, powers []float64) (Model, error) {
-	if o.Epsilon < 0 || math.IsNaN(o.Epsilon) {
-		// Rejected up front, regardless of which engine the mode resolves
-		// to — the same option must not validate size-dependently.
-		return m, fmt.Errorf("epsilon must be ≥ 0, got %g", o.Epsilon)
-	}
 	c, err := o.buildEngine(m, in, v, powers)
 	if err != nil {
 		return m, err
