@@ -72,17 +72,22 @@ func qualityCorpus() []qualityInstance {
 var qualityEngines = []oblivious.AffectanceMode{oblivious.AffectDense, oblivious.AffectSparse}
 
 // qualitySolvers are the solvers the record holds rows for.
-var qualitySolvers = []string{"pipeline"}
+var qualitySolvers = []string{"greedy", "lp", "pipeline", "distributed", "online"}
+
+// lpQualityInstances are the only instances lp runs on: its simplex
+// dominates the record's time beyond them (one lp solve took 8–50 s at
+// n = 1000, over a minute at n = 2000, and 16–17 s on linechain-1000).
+var lpQualityInstances = map[string]bool{"uniform-300": true, "clustered-300": true, "nested-40": true}
 
 // qualityRow renders one record row; the key is its first three fields.
 func qualityRow(solver string, mode oblivious.AffectanceMode, inst string, colors, clique int) string {
-	return fmt.Sprintf("%-9s %-7s %-15s %6d %6d %7.3f", solver, mode, inst, colors, clique, float64(colors)/float64(clique))
+	return fmt.Sprintf("%-11s %-7s %-15s %6d %6d %7.3f", solver, mode, inst, colors, clique, float64(colors)/float64(clique))
 }
 
 const qualityHeader = `# Schedule quality per solver × engine on a fixed seeded corpus: colors,
 # the clique lower bound under the same powers, and their ratio. Sparse
 # runs at ε = 8. Regenerate: go test -run TestQualityGolden -update .
-# solver  engine  instance        colors clique   ratio
+# solver    engine  instance        colors clique   ratio
 `
 
 // TestQualityGolden recomputes the quality record and diffs it against
@@ -104,6 +109,9 @@ func TestQualityGolden(t *testing.T) {
 		}
 		clique := coloring.CliqueLowerBound(m, in, oblivious.Bidirectional, oblivious.PowersFor(m, in, oblivious.Sqrt()))
 		for _, solver := range qualitySolvers {
+			if solver == "lp" && !lpQualityInstances[qi.name] {
+				continue
+			}
 			for _, mode := range qualityEngines {
 				res, err := oblivious.Lookup(solver).Solve(context.Background(), m, in,
 					oblivious.WithSeed(1), oblivious.WithAffectanceMode(mode),
