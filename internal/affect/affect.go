@@ -2,10 +2,10 @@ package affect
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/problem"
 	"repro/internal/sinr"
 )
@@ -84,8 +84,7 @@ func (b *build) Covers(in *problem.Instance, alpha float64, powers []float64) bo
 }
 
 // New builds the affectance cache for the given model, variant, instance
-// and powers. The matrices are filled by a worker pool sized to
-// GOMAXPROCS. It panics if len(powers) != in.N() — every call site derives
+// and powers. The matrices are filled row by row on par.ForEach. It panics if len(powers) != in.N() — every call site derives
 // the powers from the instance, so a mismatch is a programming error.
 func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *Cache {
 	n := in.N()
@@ -115,7 +114,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 	// other request adds at request i's constraint node(s). The entries are
 	// computed with the exact formulas of the sinr package, so the engine
 	// and the model agree bitwise.
-	parallelRows(n, func(i int) {
+	par.ForEach(n, func(i int) {
 		base := i * n
 		switch v {
 		case sinr.Directed:
@@ -146,46 +145,11 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *
 	return c
 }
 
-// parallelRows runs fill(i) for every row 0..n-1 on a pool of GOMAXPROCS
-// workers, splitting the rows into contiguous chunks.
-func parallelRows(n int, fill func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fill(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fill(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // transpose returns the transpose of an n×n row-major matrix, filled in
 // parallel by destination row.
 func transpose(a []float64, n int) []float64 {
 	t := make([]float64, n*n)
-	parallelRows(n, func(j int) {
+	par.ForEach(n, func(j int) {
 		base := j * n
 		for i := 0; i < n; i++ {
 			t[base+i] = a[i*n+j]

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/affect"
+	"repro/internal/par"
 	"repro/internal/problem"
 	"repro/internal/sinr"
 )
@@ -26,8 +25,9 @@ const DefaultEpsilon = 8.0
 // their O(n²) memory takes over the solve cost.
 const AutoThreshold = 4096
 
-// defaultOccupancy is the target number of endpoint sites per grid cell.
-const defaultOccupancy = 2.0
+// cellOccupancy is the target number of endpoint sites per grid cell. It
+// trades cell count against per-cell list length.
+const cellOccupancy = 2.0
 
 // Options configure the sparse engine.
 type Options struct {
@@ -40,9 +40,6 @@ type Options struct {
 	// 0 selects the dense path (For degenerates to affect.New bitwise);
 	// negative is invalid.
 	Epsilon float64
-	// CellOccupancy is the target number of endpoint sites per grid cell
-	// (default 2). It trades cell count against per-cell list length.
-	CellOccupancy float64
 }
 
 // rings converts the error budget into the near radius in cells: far
@@ -137,10 +134,6 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 	if !ok {
 		return nil, ErrUnsupportedMetric
 	}
-	occ := o.CellOccupancy
-	if occ <= 0 {
-		occ = defaultOccupancy
-	}
 	e := &Engine{
 		in:     in,
 		v:      v,
@@ -166,7 +159,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 	for i := range nodeCell {
 		nodeCell[i] = -1
 	}
-	e.g = newGrid(fn, dim, nodes, occ, nodeCell)
+	e.g = newGrid(fn, dim, nodes, cellOccupancy, nodeCell)
 	e.cellU = make([]int32, n)
 	e.cellV = make([]int32, n)
 	for i, r := range in.Reqs {
@@ -184,7 +177,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 	// cells. Worker-local stamps dedupe requests seen through several
 	// cells.
 	lists := make([][]int32, n)
-	parallelChunks(n, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		stamp := make([]int32, n)
 		for i := lo; i < hi; i++ {
 			mark := int32(i) + 1
@@ -224,7 +217,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 
 	// Exact near entries, with the same formulas as the dense fill so the
 	// two agree bitwise on every stored pair.
-	parallelChunks(n, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := e.start[i]
 			copy(e.adj[base:e.start[i+1]], lists[i])
@@ -242,7 +235,7 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 			}
 		}
 	})
-	parallelChunks(n, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for ee := e.start[i]; ee < e.start[i+1]; ee++ {
 				j := e.adj[ee]
@@ -255,39 +248,6 @@ func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o
 		}
 	})
 	return e, nil
-}
-
-// parallelChunks runs fn over contiguous chunks of 0..n-1 on a pool of
-// GOMAXPROCS workers.
-func parallelChunks(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // findEntry returns the CSR index of partner j in row i, or -1.
@@ -370,9 +330,6 @@ func (e *Engine) Near(i int) int { return int(e.start[i+1] - e.start[i]) }
 
 // Entries returns the total number of stored exact entries.
 func (e *Engine) Entries() int { return len(e.adj) }
-
-// Rings returns the near radius in cells derived from the error budget.
-func (e *Engine) Rings() int { return int(e.r) }
 
 // Epsilon returns the engine's error budget.
 func (e *Engine) Epsilon() float64 { return e.eps }

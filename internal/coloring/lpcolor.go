@@ -155,7 +155,7 @@ func algorithmA(m sinr.Model, in *problem.Instance, powers []float64, remaining 
 		if len(cand) == 0 {
 			continue
 		}
-		picked, err := selectByLP(m, in, powers, eng, selected, cand, rng, stats, opts)
+		picked, err := selectByLP(m, in, eng, selected, cand, rng, stats, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +282,7 @@ func conflictFree(eng affect.Engine, cand []int) []int {
 // at every candidate endpoint, by solving the packing LP of Lemma 16 and
 // rounding, followed by an alteration step that repairs any violated budget
 // by dropping offenders.
-func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, eng affect.Engine, selected, cand []int, rng *rand.Rand, stats *LPStats, opts LPOptions) ([]int, error) {
+func selectByLP(m sinr.Model, in *problem.Instance, eng affect.Engine, selected, cand []int, rng *rand.Rand, stats *LPStats, opts LPOptions) ([]int, error) {
 	cand = conflictFree(eng, cand)
 	if len(cand) == 0 {
 		return nil, nil
@@ -290,57 +290,7 @@ func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, eng affect
 	if len(cand) == 1 {
 		return cand, nil
 	}
-	pos := make(map[int]int, len(cand))
-	for a, j := range cand {
-		pos[j] = a
-	}
-	// One constraint per candidate endpoint w: the interference from the
-	// other candidates (weighted by x) must stay within 2^α times the
-	// budget — Claim 17's relaxation, which any gain-β feasible subset
-	// satisfies, so the LP optimum dominates s*_i. The matrix entries are
-	// exactly the affectance values: copied from the dense rows when the
-	// engine holds them — assembling from the model formula over the
-	// dense engine too ran lp 8% slower at n = 512 (471 → 508 ms median)
-	// — and computed by the formula otherwise, since a conservative
-	// engine's PairBound would change the LP.
-	denseRows, dense := eng.(affect.Rows)
-	relax := math.Pow(2, m.Alpha)
-	var rows [][]float64
-	var rhs []float64
-	for _, j := range cand {
-		for side := 0; side < 2; side++ {
-			var affRow []float64
-			if dense {
-				if side == 0 {
-					affRow = denseRows.IntoU(j)
-				} else {
-					affRow = denseRows.IntoV(j)
-				}
-			}
-			row := make([]float64, len(cand))
-			for _, j2 := range cand {
-				if j2 == j {
-					continue
-				}
-				if affRow != nil {
-					row[pos[j2]] = affRow[j2]
-				} else {
-					w := in.Reqs[j].U
-					if side == 1 {
-						w = in.Reqs[j].V
-					}
-					row[pos[j2]] = powers[j2] / m.MinLossToNode(in, j2, w)
-				}
-			}
-			rows = append(rows, row)
-			rhs = append(rhs, relax*budget(m, in, j))
-		}
-	}
-	obj := make([]float64, len(cand))
-	for i := range obj {
-		obj[i] = 1
-	}
-	sol, err := lp.Solve(lp.Problem{C: obj, A: rows, B: rhs}, 0)
+	sol, err := lp.Solve(packingLP(m, in, eng, cand), 0)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: class LP: %w", err)
 	}
@@ -371,6 +321,37 @@ func selectByLP(m sinr.Model, in *problem.Instance, powers []float64, eng affect
 		picked = []int{cand[best]}
 	}
 	return repairBudget(m, in, eng, selected, picked), nil
+}
+
+// packingLP assembles the packing LP of Lemma 16 over cand. It has one
+// constraint per candidate endpoint w, U then V per candidate in cand
+// order: the interference from the other candidates (weighted by x) must
+// stay within 2^α times w's budget — Claim 17's relaxation, which any
+// gain-β feasible subset satisfies, so the LP optimum dominates s*_i. The
+// entries are the engine's PairBound: exact over the dense and the direct
+// engine, upper bounds over the sparse one, which only tighten the LP (by
+// at most the engine's 1 + ε factor).
+func packingLP(m sinr.Model, in *problem.Instance, eng affect.Engine, cand []int) lp.Problem {
+	k := len(cand)
+	relax := math.Pow(2, m.Alpha)
+	rows := make([][]float64, 0, 2*k)
+	rhs := make([]float64, 0, 2*k)
+	for a, j := range cand {
+		rowU, rowV := make([]float64, k), make([]float64, k)
+		for b, j2 := range cand {
+			if b != a {
+				rowU[b], rowV[b] = eng.PairBound(j, j2)
+			}
+		}
+		w := relax * budget(m, in, j)
+		rows = append(rows, rowU, rowV)
+		rhs = append(rhs, w, w)
+	}
+	obj := make([]float64, k)
+	for i := range obj {
+		obj[i] = 1
+	}
+	return lp.Problem{C: obj, A: rows, B: rhs}
 }
 
 // repairBudget drops requests from picked until, at every endpoint of every

@@ -8,7 +8,7 @@
 //     degrades to first-fit for the remaining slots (take what fits,
 //     stop optimizing) — counted in Stats.Shed / "engine/shed";
 //  2. defer repair: a threshold/eager compaction due while the event is
-//     over budget is postponed — up to WithRepairBudget deferrals — and
+//     over budget is postponed — up to repairBudget (8) deferrals — and
 //     paid down by the next departure that finishes under budget;
 //     counted in Stats.DeferredRepairs / "engine/deferred_repairs";
 //  3. retry acquisition: a tracker provider that transiently fails is
@@ -42,12 +42,11 @@ func WithRetry(attempts int, backoff time.Duration) Option {
 	}
 }
 
-// WithRepairBudget bounds how many consecutive compaction passes may be
-// deferred under latency pressure before one runs regardless (default
-// 8). The bound keeps the deferred work from growing without limit: an
-// overloaded engine compacts at least every budget+1 departures that
-// want it. Values < 1 are rejected by New.
-func WithRepairBudget(n int) Option { return func(e *Engine) { e.repairBudget = n } }
+// repairBudget bounds how many consecutive compaction passes may be
+// deferred under latency pressure before one runs regardless. The bound
+// keeps the deferred work from growing without limit: an overloaded
+// engine compacts at least every repairBudget+1 departures that want it.
+const repairBudget = 8
 
 // BeginDrain puts the engine in draining mode: every subsequent Arrive
 // is rejected with ErrDraining while departures (and their repairs)

@@ -52,7 +52,6 @@ type Engine struct {
 	// saturating at repairBudget. draining rejects arrivals.
 	deadline      time.Duration
 	evStart       time.Time
-	repairBudget  int
 	repairDebt    int
 	retryAttempts int
 	retryBackoff  time.Duration
@@ -107,7 +106,7 @@ type Stats struct {
 	// first-fit because the event exceeded the WithDeadline budget.
 	Shed int
 	// DeferredRepairs counts compaction passes postponed under latency
-	// pressure (bounded by WithRepairBudget; see degrade.go).
+	// pressure (bounded by repairBudget; see degrade.go).
 	DeferredRepairs int
 	// Retries counts transient tracker-provider failures that were
 	// retried under the WithRetry budget.
@@ -159,14 +158,13 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 		return nil, fmt.Errorf("online: unknown variant %d", int(v))
 	}
 	e := &Engine{
-		m:            m,
-		v:            v,
-		in:           in,
-		powers:       append([]float64(nil), powers...),
-		lens:         in.Lengths(),
-		slotOf:       make([]int, n),
-		threshold:    0.25,
-		repairBudget: 8,
+		m:         m,
+		v:         v,
+		in:        in,
+		powers:    append([]float64(nil), powers...),
+		lens:      in.Lengths(),
+		slotOf:    make([]int, n),
+		threshold: 0.25,
 	}
 	for i := range e.slotOf {
 		e.slotOf[i] = -1
@@ -194,9 +192,6 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 	}
 	if e.retryAttempts < 0 || e.retryBackoff < 0 {
 		return nil, fmt.Errorf("online: retry budget must be ≥ 0, got (%d, %v)", e.retryAttempts, e.retryBackoff)
-	}
-	if e.repairBudget < 1 {
-		return nil, fmt.Errorf("online: repair budget must be ≥ 1, got %d", e.repairBudget)
 	}
 	e.eng = affect.Resolve(m, v, in, e.powers)
 	return e, nil
@@ -484,7 +479,7 @@ func (e *Engine) runRepair() {
 		wantCompact = true
 	}
 	if wantCompact {
-		if e.deadline > 0 && e.repairDebt < e.repairBudget && e.overBudget() {
+		if e.deadline > 0 && e.repairDebt < repairBudget && e.overBudget() {
 			e.repairDebt++
 			e.stats.DeferredRepairs++
 			e.cDeferred.Inc()

@@ -55,3 +55,31 @@ func ForEach(n int, f func(i int)) {
 	}
 	wg.Wait()
 }
+
+// Chunks runs f(lo, hi) over at most Workers(n) contiguous chunks that
+// partition [0, n), one goroutine per chunk, for loops whose workers keep
+// scratch across their items (a per-worker stamp array, say). Chunk
+// bounds depend on GOMAXPROCS, so f must follow ForEach's contract
+// within each item. With one chunk f runs inline on the calling
+// goroutine; n ≤ 0 runs nothing. Chunks returns after every f has
+// returned.
+func Chunks(n int, f func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	w := Workers(n)
+	if w == 1 {
+		f(0, n)
+		return
+	}
+	size := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += size {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			f(lo, hi)
+		}(lo, min(lo+size, n))
+	}
+	wg.Wait()
+}

@@ -201,15 +201,6 @@ func (m Model) RequestLoss(in *problem.Instance, i int) float64 {
 	return m.Loss(in.Length(i))
 }
 
-// RequestLosses returns the losses of all requests of the instance.
-func (m Model) RequestLosses(in *problem.Instance) []float64 {
-	out := make([]float64, in.N())
-	for i := range out {
-		out[i] = m.RequestLoss(in, i)
-	}
-	return out
-}
-
 // Tol is the relative tolerance used by feasibility comparisons to absorb
 // floating-point error: a constraint signal ≥ β·interference is accepted if
 // signal ≥ β·interference·(1-Tol). Exported so that the incremental

@@ -98,8 +98,9 @@ func (p Pipeline) runCtx(ctx context.Context, m sinr.Model, in *problem.Instance
 	}
 	betaNode := nodeloss.PairGainToNodeGain(m.Beta)
 
-	// Stage 2 (Lemma 6 / Proposition 7): sample r tree embeddings of the
-	// active nodes and keep the tree whose core covers the most of them.
+	// Stage 2 (Lemma 6 / Proposition 7): sample r = ⌈log₂ n⌉ + 2 tree
+	// embeddings of the active nodes and keep the tree whose core, at
+	// the ensemble's default stretch bound, covers the most of them.
 	var (
 		ensemble *hst.Ensemble
 		bestTree int
@@ -113,11 +114,8 @@ func (p Pipeline) runCtx(ctx context.Context, m sinr.Model, in *problem.Instance
 		if err != nil {
 			return err
 		}
-		r := p.Trees
-		if r <= 0 {
-			r = int(math.Ceil(math.Log2(float64(nl.N())))) + 2
-		}
-		ensemble, err = hst.BuildEnsembleObserved(sub, r, p.StretchBound, rng, obs.FromContext(ctx))
+		r := int(math.Ceil(math.Log2(float64(nl.N())))) + 2
+		ensemble, err = hst.BuildEnsembleObserved(sub, r, 0, rng, obs.FromContext(ctx))
 		if err != nil {
 			return err
 		}

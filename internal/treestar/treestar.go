@@ -443,10 +443,6 @@ type PipelineStats struct {
 // and 9), return to pairs, and thin to the full gain in the original metric
 // (Lemma 8 / Proposition 3). The returned indices refer to in.Reqs.
 type Pipeline struct {
-	// Trees is the number of HST samples r (default: ⌈log2 n⌉ + 2).
-	Trees int
-	// StretchBound overrides the core stretch threshold (default O(log n)).
-	StretchBound float64
 	// Faithful selects the worst-case parameterized star selection inside
 	// the tree stage (see TreeOptions.Faithful).
 	Faithful bool
