@@ -1,10 +1,12 @@
 package coloring
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/affect"
+	"repro/internal/affect/sparse"
 	"repro/internal/geom"
 	"repro/internal/instance"
 	"repro/internal/power"
@@ -76,6 +78,74 @@ func TestLPOptionsDisableMaximality(t *testing.T) {
 	if off.NumColors() < on.NumColors() {
 		t.Errorf("maximality off (%d colors) beat maximality on (%d colors)",
 			off.NumColors(), on.NumColors())
+	}
+}
+
+// TestPackingLPReadsEngine pins the LP matrix against its engine: one U
+// row and one V row per candidate, in cand order, with a zero diagonal.
+// Over the exact engines every entry is bitwise the model's affectance;
+// over the sparse engine no entry falls below it.
+func TestPackingLPReadsEngine(t *testing.T) {
+	m := sinr.Default()
+	in, err := instance.UniformRandom(rand.New(rand.NewSource(4)), 200, 400, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	powers := power.Powers(m, in, power.Sqrt())
+	grid, err := sparse.New(m, sinr.Bidirectional, in, powers, sparse.Options{Epsilon: sparse.DefaultEpsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Candidates out of index order, so a column read by request index
+	// instead of by position in cand shows.
+	cand := rand.New(rand.NewSource(1)).Perm(in.N())[:80]
+	relax := math.Pow(2, m.Alpha)
+	for _, tc := range []struct {
+		name  string
+		eng   affect.Engine
+		exact bool
+	}{
+		{"dense", affect.EngineOf(affect.New(m, sinr.Bidirectional, in, powers)), true},
+		{"direct", affect.NewDirect(m, sinr.Bidirectional, in, powers), true},
+		{"sparse", grid, false},
+	} {
+		p := packingLP(m, in, tc.eng, cand)
+		if len(p.C) != len(cand) || len(p.A) != 2*len(cand) || len(p.B) != 2*len(cand) {
+			t.Fatalf("%s: LP is %d×%d with %d bounds, want %d×%d", tc.name, len(p.A), len(p.C), len(p.B), 2*len(cand), len(cand))
+		}
+		above := 0
+		for a, j := range cand {
+			if p.C[a] != 1 {
+				t.Errorf("%s: objective[%d] = %g, want 1", tc.name, a, p.C[a])
+			}
+			for side, w := range []int{in.Reqs[j].U, in.Reqs[j].V} {
+				r := 2*a + side
+				if want := relax * budget(m, in, j); p.B[r] != want {
+					t.Errorf("%s: bound of row %d = %g, want %g", tc.name, r, p.B[r], want)
+				}
+				for b, j2 := range cand {
+					got := p.A[r][b]
+					if b == a {
+						if got != 0 {
+							t.Errorf("%s: diagonal of row %d = %g", tc.name, r, got)
+						}
+						continue
+					}
+					want := powers[j2] / m.MinLossToNode(in, j2, w)
+					switch {
+					case tc.exact && math.Float64bits(got) != math.Float64bits(want):
+						t.Errorf("%s: A[%d][%d] = %v, want %v bitwise", tc.name, r, b, got, want)
+					case got < want:
+						t.Errorf("%s: A[%d][%d] = %v below the affectance %v", tc.name, r, b, got, want)
+					case got > want:
+						above++
+					}
+				}
+			}
+		}
+		if !tc.exact && above == 0 {
+			t.Errorf("%s: every entry exact; the instance needs far pairs", tc.name)
+		}
 	}
 }
 
