@@ -84,8 +84,9 @@ func (b *build) Covers(in *problem.Instance, alpha float64, powers []float64) bo
 }
 
 // New builds the affectance cache for the given model, variant, instance
-// and powers. The matrices are filled row by row on par.ForEach. It panics if len(powers) != in.N() — every call site derives
-// the powers from the instance, so a mismatch is a programming error.
+// and powers. The matrices are filled row by row on par.ForEach. It
+// panics if len(powers) != in.N() — every call site derives the powers
+// from the instance, so a mismatch is a programming error.
 func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64) *Cache {
 	n := in.N()
 	if len(powers) != n {

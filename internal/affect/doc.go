@@ -3,8 +3,8 @@
 // question by recomputing a path loss d^α per sender/receiver pair; it is
 // the oracle. The solvers instead query an Engine from this package: the
 // dense one precomputes, per (instance, model, variant, powers) tuple,
-// the full n×n affectance matrices — flat row-major []float64, filled by a
-// worker pool — plus the per-request signal vector, so their feasibility
+// the full n×n affectance matrices — flat row-major []float64, filled on
+// par.ForEach — plus the per-request signal vector, so their feasibility
 // checks become array sums.
 //
 // The term "affectance" follows the SINR scheduling literature: entry

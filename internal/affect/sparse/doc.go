@@ -5,8 +5,9 @@
 // at large n the overwhelming majority of entries are negligible. This
 // package exploits exactly that structure.
 //
-// The engine buckets the request endpoints into a uniform grid of cells
-// and splits every request pair into two regimes:
+// The engine buckets the request endpoints into a uniform grid of cells,
+// sized for about two endpoint sites per cell, and splits every request
+// pair into two regimes:
 //
 //   - near pairs — some endpoint cells within `rings` Chebyshev cells of
 //     each other — keep their exact per-pair affectance entries, stored in
@@ -21,8 +22,8 @@
 // oracle), while a set it rejects may in truth have fit — the engine
 // trades schedule length for O(n·k) memory, never feasibility.
 //
-// The Epsilon option is the explicit error budget of that trade: the
-// near radius is derived from it so that every far-field entry
+// Epsilon, the engine's one option, is the explicit error budget of that
+// trade: the near radius is derived from it so that every far-field entry
 // overestimates the true affectance by at most a factor 1+ε
 // (see rings()). ε=0 degenerates to the dense path bitwise — For
 // returns the dense affect.Cache itself.
@@ -32,5 +33,5 @@
 // schedulers through affect.Resolve, and they obtain from it conservative
 // incremental trackers whose Add/Remove/CanAdd touch only near-cell
 // neighbors plus per-cell far-field accumulators, and conservative pair
-// and set bounds.
+// and set bounds — the LP coloring's matrix among them.
 package sparse

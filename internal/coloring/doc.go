@@ -23,11 +23,12 @@
 //     certificate experiments compare schedule lengths against.
 //
 // Every feasibility question — greedy admission, thinning, the LP's
-// budget, conflict, repair and maximality passes — goes to the one
-// engine affect.Resolve derives from the model: the dense matrices, the
-// sparse grid, or the matrix-free direct engine, driven through
+// matrix, budget, conflict, repair and maximality passes — goes to the
+// one engine affect.Resolve derives from the model: the dense matrices,
+// the sparse grid, or the matrix-free direct engine, driven through
 // sinr.SetTracker and the engine's PairBound/InterferenceBound queries.
 // The exact engines agree bitwise, so a schedule does not depend on
-// whether the affectance cache is on. Only the LP matrix assembly reads
-// the dense rows directly when they exist.
+// whether the affectance cache is on. Over the sparse engine the LP
+// matrix holds its upper bounds, which tighten the packing LP by at most
+// the engine's 1 + ε factor.
 package coloring

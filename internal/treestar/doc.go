@@ -13,8 +13,9 @@
 //     (Embedding.Repair). TreeOptions.Faithful switches between the
 //     paper's worst-case star selection and the practical greedy variant.
 //   - Pipeline chains the stages of Theorem 2: pair→node-loss splitting
-//     (package nodeloss, Section 3.2), HST ensemble and best-core tree
-//     (package hst, Lemma 6/Proposition 7), SelectOnTree, and a final
+//     (package nodeloss, Section 3.2), HST ensemble of ⌈log₂ n⌉ + 2
+//     trees and best-core tree at hst's default stretch bound (package
+//     hst, Lemma 6/Proposition 7), SelectOnTree, and a final
 //     ThinToGain back in the original metric (Proposition 3). Run
 //     extracts one color class with per-stage PipelineStats;
 //     Coloring/ColoringWithStats iterate it into a complete schedule.
