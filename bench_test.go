@@ -189,7 +189,7 @@ func BenchmarkFeasibilityOracle64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := powerctl.Feasible(m, in, sinr.Bidirectional, set, powerctl.Options{}); err != nil {
+		if _, err := powerctl.Feasible(m, in, sinr.Bidirectional, set); err != nil {
 			b.Fatal(err)
 		}
 	}

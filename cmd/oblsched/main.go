@@ -7,13 +7,16 @@
 //
 //	oblsched -in instance.json [-variant bidirectional] [-power sqrt]
 //	         [-algo greedy|lp|online|pipeline|distributed] [-alpha 3]
-//	         [-beta 1] [-seed 1] [-affect auto|dense|sparse] [-eps 8]
+//	         [-beta 1] [-seed 1] [-affect auto|dense|sparse|direct] [-eps 8]
 //
 // The affectance engine behind the SINR hot path is selected with
 // -affect: "dense" materializes the exact n×n matrices, "sparse" the
 // grid-bucketed conservative engine that scales to tens of thousands of
-// requests, and "auto" (default) switches on instance size. -eps is the
-// sparse far-field error budget; 0 forces the dense path bitwise.
+// requests, "direct" computes every pair on demand at O(n) memory
+// (bitwise the dense results), and "auto" (default) switches between
+// dense and sparse on instance size. -eps is the sparse far-field error
+// budget; 0 forces the dense path bitwise. -trace and -chaos runs build
+// their engine with oblivious.BuildEngine, the builder every solve uses.
 //
 // Large runs are profiled without editing code:
 //
@@ -84,13 +87,10 @@ import (
 	"time"
 
 	oblivious "repro"
-	"repro/internal/affect"
-	"repro/internal/affect/sparse"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/online/sim"
-	"repro/internal/sinr"
 )
 
 // config carries every flag of one invocation; run consumes it so the
@@ -131,7 +131,7 @@ func main() {
 	flag.StringVar(&cfg.repair, "repair", "lazy", "online repair strategy: lazy, threshold, or eager")
 	flag.StringVar(&cfg.trace, "trace", "", "instead of scheduling, simulate churn: poisson, bursty, or replay")
 	flag.IntVar(&cfg.nevents, "nevents", 0, "churn events for -trace poisson/bursty (default 10·n)")
-	flag.StringVar(&cfg.affect, "affect", "auto", "affectance engine: auto, dense, or sparse")
+	flag.StringVar(&cfg.affect, "affect", "auto", "affectance engine: auto, dense, sparse, or direct")
 	flag.Float64Var(&cfg.eps, "eps", oblivious.DefaultSparseEpsilon, "sparse far-field error budget ε (0 = dense bitwise)")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write an allocation profile to this path on exit")
@@ -453,7 +453,8 @@ func runChaos(w io.Writer, m oblivious.Model, in *oblivious.Instance, v obliviou
 		seed := cfg.seed + int64(s)
 		// Fresh cache, injector and engine per seed: the sweep proves
 		// independent runs, not one long one.
-		inner, err := buildTraceCache(m, in, v, mode, powers, cfg.eps)
+		inner, err := oblivious.BuildEngine(m, in, v, powers,
+			oblivious.WithAffectanceMode(mode), oblivious.WithEpsilon(cfg.eps), oblivious.WithObserver(col))
 		if err != nil {
 			return err
 		}
@@ -571,15 +572,6 @@ func runChaos(w io.Writer, m oblivious.Model, in *oblivious.Instance, v obliviou
 	return nil
 }
 
-// buildTraceCache builds the affectance engine the resolved mode
-// selects, shared by the trace, chaos and checkpoint paths.
-func buildTraceCache(m oblivious.Model, in *oblivious.Instance, v oblivious.Variant, mode oblivious.AffectanceMode, powers []float64, eps float64) (sinr.Cache, error) {
-	if mode.Resolve(in, eps) == oblivious.AffectSparse {
-		return sparse.For(m, v, in, powers, sparse.Options{Epsilon: eps})
-	}
-	return affect.New(m, v, in, powers), nil
-}
-
 // runTrace replays the instance as a churn trace through the online
 // engine and prints the time-series summary. It always runs observed:
 // the cost line below needs the gated per-event timing, so when run
@@ -603,7 +595,8 @@ func runTrace(w io.Writer, m oblivious.Model, in *oblivious.Instance, v obliviou
 	powers := oblivious.PowersFor(m, in, a)
 	// The engine the resolved mode selects rides on a copy of the model:
 	// m itself stays cache-free for the oracle re-check below.
-	c, err := buildTraceCache(m, in, v, mode, powers, cfg.eps)
+	c, err := oblivious.BuildEngine(m, in, v, powers,
+		oblivious.WithAffectanceMode(mode), oblivious.WithEpsilon(cfg.eps), oblivious.WithObserver(col))
 	if err != nil {
 		return err
 	}

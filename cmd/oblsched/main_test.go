@@ -113,6 +113,49 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
+// TestRunDirectEngine drives -affect direct through a solve, which must
+// report the engine it ran on, and through a trace, whose slots are
+// re-checked against the uncached oracle and which must replay exactly
+// as on the dense engine auto selects at this size (only the timing line
+// may differ).
+func TestRunDirectEngine(t *testing.T) {
+	path := writeLineInstance64(t)
+	cfg := baseConfig(path)
+	cfg.affect = "direct"
+	var sb strings.Builder
+	if err := run(&sb, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "engine:   direct\n") {
+		t.Errorf("-affect direct solve does not report its engine:\n%s", sb.String())
+	}
+	untimed := func(out string) string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "cost:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	cfg.trace, cfg.nevents = "poisson", 400
+	var trace [2]string
+	for k, mode := range []string{"auto", "direct"} {
+		cfg.affect = mode
+		sb.Reset()
+		if err := run(&sb, cfg); err != nil {
+			t.Fatalf("-trace -affect %s: %v", mode, err)
+		}
+		trace[k] = untimed(sb.String())
+	}
+	if !strings.Contains(trace[1], "feasible:  yes (oracle-checked)") {
+		t.Errorf("-trace -affect direct was not oracle-checked:\n%s", trace[1])
+	}
+	if trace[0] != trace[1] {
+		t.Errorf("-trace replays differ between auto and direct:\n%s\n---\n%s", trace[0], trace[1])
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	path := writeInstance(t)
 	cases := []struct {

@@ -109,6 +109,7 @@ func FuzzParseAffectanceMode(f *testing.F) {
 	f.Add("sparse")
 	f.Add("octree")
 	f.Add("")
+	f.Add("direct")
 	f.Fuzz(func(t *testing.T, s string) {
 		mode, err := ParseAffectanceMode(s)
 		if err != nil {

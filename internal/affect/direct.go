@@ -12,8 +12,8 @@ import (
 // per-request signal vector and computes each affectance on demand with
 // the formulas New fills its matrices with, so every value is bitwise the
 // dense entry, at O(n) memory and no build cost. Resolve falls back to it
-// when the model carries no engine for the variant, and
-// WithAffectanceCache(false) runs the solvers on it.
+// when the model carries no engine for the variant, and the solvers run
+// on it under the root package's AffectDirect mode.
 //
 // Like the other engines it is immutable after construction and safe for
 // concurrent readers; the trackers it hands out are not.

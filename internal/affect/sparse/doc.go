@@ -25,8 +25,9 @@
 // Epsilon, the engine's one option, is the explicit error budget of that
 // trade: the near radius is derived from it so that every far-field entry
 // overestimates the true affectance by at most a factor 1+ε
-// (see rings()). ε=0 degenerates to the dense path bitwise — For
-// returns the dense affect.Cache itself.
+// (see rings()). The budget must be positive: ε=0 would keep every pair
+// exact, which is the dense engine, so the solvers' engine selection
+// resolves a zero budget to affect.New instead.
 //
 // An Engine is an affect.Engine with no matrix rows — rows are exactly
 // what it refuses to materialize. Attached to a model, it reaches the

@@ -37,8 +37,9 @@ type Options struct {
 	// ε means fewer exact entries — less memory and faster probes, but
 	// looser margins and so potentially more colors. It never costs
 	// correctness: the bound direction makes every set it admits feasible.
-	// 0 selects the dense path (For degenerates to affect.New bitwise);
-	// negative is invalid.
+	// It must be positive: ε = 0 would keep every pair exact, which is the
+	// dense engine (affect.New), so the solvers' engine selection resolves
+	// a zero budget to that engine instead.
 	Epsilon float64
 }
 
@@ -106,19 +107,8 @@ var _ affect.Engine = (*Engine)(nil)
 // the message cannot drift between solvers.
 var ErrUnsupportedMetric = errors.New("sparse: metric space carries no grid coordinates (need Euclidean dim ≤ 3 or a line)")
 
-// For returns the affectance engine for the options: the dense cache when
-// Epsilon is zero — the documented bitwise degeneration — and the sparse
-// engine otherwise. It fails when Epsilon is negative or the sparse
-// engine is requested over a metric without coordinates (see Supported).
-func For(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o Options) (sinr.Cache, error) {
-	if o.Epsilon == 0 {
-		return affect.New(m, v, in, powers), nil
-	}
-	return New(m, v, in, powers, o)
-}
-
-// New builds the sparse engine. Epsilon must be positive (use For for the
-// ε=0 dense degeneration) and the instance metric must be Supported.
+// New builds the sparse engine. Epsilon must be positive and the
+// instance metric must be Supported.
 func New(m sinr.Model, v sinr.Variant, in *problem.Instance, powers []float64, o Options) (*Engine, error) {
 	if !(o.Epsilon > 0) {
 		return nil, fmt.Errorf("sparse: epsilon must be > 0, got %g", o.Epsilon)

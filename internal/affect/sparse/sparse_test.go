@@ -30,48 +30,6 @@ func testInstances(t *testing.T, seed int64, n int) []*problem.Instance {
 
 func variants() []sinr.Variant { return []sinr.Variant{sinr.Directed, sinr.Bidirectional} }
 
-// TestForEpsilonZeroIsDense pins the documented degeneration: ε=0 selects
-// the dense engine itself, so "sparse with ε=0" agrees with dense not
-// just numerically but bitwise by construction.
-func TestForEpsilonZeroIsDense(t *testing.T) {
-	m := sinr.Default()
-	for _, in := range testInstances(t, 7, 40) {
-		powers := power.Powers(m, in, power.Sqrt())
-		for _, v := range variants() {
-			c, err := For(m, v, in, powers, Options{Epsilon: 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dense, ok := c.(*affect.Cache)
-			if !ok {
-				t.Fatalf("For(ε=0) = %T, want *affect.Cache", c)
-			}
-			// The dense cache drives the exact tracker; spot-check a full
-			// add/margin sweep against a reference dense build bitwise.
-			ref := affect.New(m, v, in, powers)
-			tr := affect.NewTracker(m, v, dense)
-			want := affect.NewTracker(m, v, ref)
-			for i := 0; i < in.N(); i++ {
-				if tr.CanAdd(i) != want.CanAdd(i) {
-					t.Fatalf("%s: CanAdd(%d) diverges at ε=0", v, i)
-				}
-				if tr.CanAdd(i) {
-					tr.Add(i)
-					want.Add(i)
-				}
-				if tr.SetFeasible() != want.SetFeasible() {
-					t.Fatalf("%s: SetFeasible diverges at ε=0", v)
-				}
-			}
-			for _, i := range tr.Members() {
-				if tr.Margin(i) != want.Margin(i) {
-					t.Fatalf("%s: Margin(%d) = %g, want %g (bitwise)", v, i, tr.Margin(i), want.Margin(i))
-				}
-			}
-		}
-	}
-}
-
 // TestAllNearMatchesDenseBitwise builds the sparse engine with an error
 // budget so tiny that every pair lands in the near regime, and checks the
 // tracker agrees with the dense one bitwise on Add-sequence margins: the

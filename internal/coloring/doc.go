@@ -28,7 +28,8 @@
 // the sparse grid, or the matrix-free direct engine, driven through
 // sinr.SetTracker and the engine's PairBound/InterferenceBound queries.
 // The exact engines agree bitwise, so a schedule does not depend on
-// whether the affectance cache is on. Over the sparse engine the LP
+// whether the dense or the direct engine serves it. Over the sparse
+// engine the LP
 // matrix holds its upper bounds, which tighten the packing LP by at most
 // the engine's 1 + ε factor.
 package coloring

@@ -13,32 +13,26 @@ import (
 	"repro/internal/sinr"
 )
 
+// The decay scheme's parameters: a fresh request transmits with
+// probability initialProb, a failed attempt multiplies it by backoff, and
+// it never drops below minProb.
+const (
+	initialProb = 0.5
+	backoff     = 0.5
+	minProb     = 1.0 / 64
+)
+
 // Protocol configures the contention scheme. The zero value is invalid;
 // use Default.
 type Protocol struct {
 	// Assignment is the oblivious power assignment every node applies
 	// locally (the paper's motivation for obliviousness).
 	Assignment power.Assignment
-	// InitialProb is the transmission probability of a fresh request.
-	InitialProb float64
-	// Backoff multiplies a request's probability after a failed attempt
-	// (0 < Backoff ≤ 1).
-	Backoff float64
-	// MinProb floors the transmission probability.
-	MinProb float64
-	// MaxSlots aborts the simulation (0 means 64·n + 1024).
-	MaxSlots int
 }
 
-// Default returns the protocol parameters used by the experiments: square
-// root powers, initial probability 1/2, halving backoff, floor 1/64.
+// Default returns the protocol the experiments run: square root powers.
 func Default() Protocol {
-	return Protocol{
-		Assignment:  power.Sqrt(),
-		InitialProb: 0.5,
-		Backoff:     0.5,
-		MinProb:     1.0 / 64,
-	}
+	return Protocol{Assignment: power.Sqrt()}
 }
 
 // Result reports one protocol run.
@@ -56,7 +50,8 @@ type Result struct {
 }
 
 // ErrSlotsExhausted is returned when the protocol fails to drain the
-// request set within MaxSlots (pathological parameters).
+// request set within its budget of 64·n + 1024 slots, as on an instance
+// where some request fails even alone (noise above its signal).
 var ErrSlotsExhausted = errors.New("distributed: slot budget exhausted")
 
 // Run simulates the protocol on a bidirectional instance.
@@ -76,19 +71,7 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 	if p.Assignment == nil {
 		return nil, errors.New("distributed: nil assignment")
 	}
-	if !(p.InitialProb > 0 && p.InitialProb <= 1) {
-		return nil, fmt.Errorf("distributed: initial probability %g outside (0,1]", p.InitialProb)
-	}
-	if !(p.Backoff > 0 && p.Backoff <= 1) {
-		return nil, fmt.Errorf("distributed: backoff %g outside (0,1]", p.Backoff)
-	}
-	if !(p.MinProb > 0 && p.MinProb <= p.InitialProb) {
-		return nil, fmt.Errorf("distributed: min probability %g outside (0, initial]", p.MinProb)
-	}
-	maxSlots := p.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = 64*in.N() + 1024
-	}
+	maxSlots := 64*in.N() + 1024
 
 	powers := power.Powers(m, in, p.Assignment)
 	// Every slot probes feasibility against the active set; precompute the
@@ -118,7 +101,7 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 	prob := make([]float64, in.N())
 	pending := make([]int, 0, in.N())
 	for i := range prob {
-		prob[i] = p.InitialProb
+		prob[i] = initialProb
 		pending = append(pending, i)
 	}
 
@@ -167,8 +150,8 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 		res.Failures += len(active) - len(succeeded)
 		if len(succeeded) == 0 {
 			for _, i := range active {
-				if prob[i] *= p.Backoff; prob[i] < p.MinProb {
-					prob[i] = p.MinProb
+				if prob[i] *= backoff; prob[i] < minProb {
+					prob[i] = minProb
 				}
 			}
 			continue
@@ -183,8 +166,8 @@ func (p Protocol) RunContext(ctx context.Context, m sinr.Model, in *problem.Inst
 			if !done[i] {
 				next = append(next, i)
 				if contains(active, i) {
-					if prob[i] *= p.Backoff; prob[i] < p.MinProb {
-						prob[i] = p.MinProb
+					if prob[i] *= backoff; prob[i] < minProb {
+						prob[i] = minProb
 					}
 				}
 			}

@@ -18,9 +18,6 @@ func TestDefaultParameters(t *testing.T) {
 	if p.Assignment == nil || p.Assignment.Name() != "sqrt" {
 		t.Error("default assignment should be sqrt")
 	}
-	if p.InitialProb <= 0 || p.Backoff <= 0 || p.MinProb <= 0 {
-		t.Error("default probabilities must be positive")
-	}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -33,25 +30,8 @@ func TestRunValidation(t *testing.T) {
 	if _, err := (Protocol{}).Run(m, in, rng); err == nil {
 		t.Error("zero-value protocol should fail")
 	}
-	p := Default()
-	if _, err := p.Run(m, in, nil); err == nil {
+	if _, err := Default().Run(m, in, nil); err == nil {
 		t.Error("nil rng should fail")
-	}
-	p = Default()
-	p.InitialProb = 2
-	if _, err := p.Run(m, in, rng); err == nil {
-		t.Error("probability > 1 should fail")
-	}
-	p = Default()
-	p.Backoff = 0
-	if _, err := p.Run(m, in, rng); err == nil {
-		t.Error("zero backoff should fail")
-	}
-	p = Default()
-	p.MinProb = 1
-	p.InitialProb = 0.5
-	if _, err := p.Run(m, in, rng); err == nil {
-		t.Error("min probability above initial should fail")
 	}
 }
 
@@ -101,17 +81,14 @@ func TestProtocolSingleRequest(t *testing.T) {
 }
 
 func TestSlotBudgetExhausted(t *testing.T) {
-	m := sinr.Default()
-	// The nested instance under uniform powers allows only one request per
-	// slot; with a tiny slot budget the protocol cannot drain.
-	in, err := instance.NestedExponential(16, 2)
+	// With the noise above every request's signal no transmission
+	// succeeds, not even alone, so the protocol runs out of slots.
+	m := sinr.Model{Alpha: 3, Beta: 1, Noise: 1}
+	in, err := instance.LineChain(2, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Default()
-	p.Assignment = power.Uniform(1)
-	p.MaxSlots = 2
-	_, err = p.Run(m, in, rand.New(rand.NewSource(5)))
+	_, err = Default().Run(m, in, rand.New(rand.NewSource(5)))
 	if !errors.Is(err, ErrSlotsExhausted) {
 		t.Errorf("error = %v, want ErrSlotsExhausted", err)
 	}
@@ -184,8 +161,8 @@ func (c *countingProvider) NewSetTracker(m sinr.Model, v sinr.Variant) sinr.SetT
 // TestTrackerPathMatchesOracle runs the protocol with a pre-attached
 // sparse engine (the tracker-backed per-slot success checks) and pins the
 // contract of the conservative margins: the run drains, the schedule
-// passes the exact dense oracle, and with ε=0 — where the sparse builder
-// degenerates to the dense cache bitwise — the run reproduces the
+// passes the exact dense oracle, and with ε=0 — which the solvers'
+// engine selection resolves to the dense cache — the run reproduces the
 // row-path schedule exactly, seed for seed.
 func TestTrackerPathMatchesOracle(t *testing.T) {
 	m := sinr.Default()
@@ -222,15 +199,12 @@ func TestTrackerPathMatchesOracle(t *testing.T) {
 		t.Errorf("tracker-path schedule fails the dense oracle: %v", err)
 	}
 
-	// ε=0 degenerates to the dense cache, which provides no trackers —
+	// ε=0 resolves to the dense cache, which provides no trackers —
 	// the protocol must route such a run through the row path, where it
 	// is the plain cached run bitwise. (This pins the routing contract of
 	// the degeneration; it is NOT a tracker-vs-row equivalence — the
 	// conservative tracker may legitimately demote successes.)
-	zero, err := sparse.For(m, sinr.Bidirectional, in, powers, sparse.Options{Epsilon: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var zero sinr.Cache = affect.New(m, sinr.Bidirectional, in, powers)
 	if _, ok := zero.(sinr.TrackerProvider); ok {
 		t.Fatal("eps=0 engine provides trackers; the degeneration contract moved")
 	}

@@ -15,8 +15,11 @@
 //
 // Exported entry points:
 //
-//   - Protocol configures the scheme (assignment, probabilities, backoff,
-//     slot budget); Default returns the experiments' parameters.
+//   - Protocol carries the power assignment; Default returns the square
+//     root one the experiments use. The decay parameters are fixed: a
+//     fresh request transmits with probability 1/2, each failure halves
+//     it down to a floor of 1/64, and a run that has not drained after
+//     64·n + 1024 slots fails with ErrSlotsExhausted.
 //   - Protocol.Run / RunContext simulate the protocol and report the
 //     induced Schedule plus Slots/Attempts/Failures counters. The
 //     simulator takes its engine from affect.Resolve, precomputing the
@@ -25,6 +28,6 @@
 //     row sums (affect.Rows.InterferenceBound) turned into margins by
 //     the model's formula (sinr.Model.SignalMargin); over any other
 //     engine (the sparse one, so the protocol scales past the dense
-//     memory wall, or the matrix-free direct engine with the cache off)
+//     memory wall, or the matrix-free direct engine)
 //     they run on one recycled sinr.SetTracker.
 package distributed

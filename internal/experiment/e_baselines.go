@@ -46,7 +46,7 @@ func E17GridBaseline(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			grid, err := gridsched.Schedule(m, in, gridsched.Options{})
+			grid, err := gridsched.Schedule(m, in)
 			if err != nil {
 				return nil, err
 			}

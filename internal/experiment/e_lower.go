@@ -23,7 +23,7 @@ func greedyOptimalColors(m sinr.Model, in *problem.Instance, v sinr.Variant) (in
 		placed := false
 		for c := range classes {
 			cand := append(append([]int(nil), classes[c]...), j)
-			res, err := powerctl.Feasible(m, in, v, cand, powerctl.Options{})
+			res, err := powerctl.Feasible(m, in, v, cand)
 			if err != nil {
 				return 0, err
 			}

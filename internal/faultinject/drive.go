@@ -16,10 +16,6 @@ type Options struct {
 	// model. The engine is left in the consistent post-event state of
 	// event AbortAt-1, ready to be checkpointed. Negative means never.
 	AbortAt int
-	// FeasibleEvery checks the engine's full feasibility invariant
-	// every k applied events (and always after the last). 0 means every
-	// event — the harness default; raise it for long traces.
-	FeasibleEvery int
 }
 
 // Result reports what a Drive replay did.
@@ -49,8 +45,7 @@ type Result struct {
 //   - an event expected to be rejected must fail with exactly the
 //     stamped sentinel (errors.Is), and must not change Stats, the slot
 //     count, the active count, or the request's slot assignment;
-//   - every slot must pass SetFeasible (checked every
-//     Options.FeasibleEvery events and after the last).
+//   - every slot must pass SetFeasible after every event.
 //
 // Expectations are derived dynamically from the engine's actual
 // outcomes rather than read from TraceEvent.Want: a tracker-starved
@@ -70,10 +65,6 @@ func Drive(ctx context.Context, eng *online.Engine, ft FaultTrace, o Options) (*
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	every := o.FeasibleEvery
-	if every <= 0 {
-		every = 1
 	}
 	n := eng.N()
 	active := make([]bool, n)
@@ -132,10 +123,8 @@ func Drive(ctx context.Context, eng *online.Engine, ft FaultTrace, o Options) (*
 		default:
 			return res, fmt.Errorf("faultinject: event %d (%+v): unexpected error %v", k, ev.Event, err)
 		}
-		if (k+1)%every == 0 || k == len(ft)-1 {
-			if !eng.Feasible() {
-				return res, fmt.Errorf("faultinject: event %d (%+v): engine infeasible", k, ev.Event)
-			}
+		if !eng.Feasible() {
+			return res, fmt.Errorf("faultinject: event %d (%+v): engine infeasible", k, ev.Event)
 		}
 	}
 	return res, nil

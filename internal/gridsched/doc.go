@@ -12,7 +12,7 @@
 // compared: its color count carries an O(log Δ) factor from the length
 // classes, where Δ is the aspect ratio (geom.AspectRatio).
 //
-// Exported entry points: Schedule runs the baseline under Options (reuse
-// factors, length-class base) and returns a valid schedule plus
-// per-class diagnostics.
+// Exported entry point: Schedule runs the baseline under square root
+// powers, with the reuse factor doubling from 2 up to 64, and returns a
+// verified schedule.
 package gridsched

@@ -11,32 +11,16 @@ import (
 	"repro/internal/sinr"
 )
 
-// Options tunes the scheduler; the zero value uses the defaults.
-type Options struct {
-	// InitialReuse is the starting reuse factor k (default 2).
-	InitialReuse int
-	// MaxReuse caps the adaptive doubling (default 64).
-	MaxReuse int
-	// Assignment is the oblivious power assignment (default square root).
-	Assignment power.Assignment
-}
-
-func (o Options) withDefaults() Options {
-	if o.InitialReuse < 2 {
-		o.InitialReuse = 2
-	}
-	if o.MaxReuse <= 0 {
-		o.MaxReuse = 64
-	}
-	if o.Assignment == nil {
-		o.Assignment = power.Sqrt()
-	}
-	return o
-}
+// The reuse factor starts at initialReuse and doubles up to maxReuse.
+const (
+	initialReuse = 2
+	maxReuse     = 64
+)
 
 // Schedule colors a 2-D Euclidean bidirectional instance with the
-// length-class/grid-reuse scheme and returns a verified schedule.
-func Schedule(m sinr.Model, in *problem.Instance, opts Options) (*problem.Schedule, error) {
+// length-class/grid-reuse scheme under square root powers and returns a
+// verified schedule.
+func Schedule(m sinr.Model, in *problem.Instance) (*problem.Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,15 +28,14 @@ func Schedule(m sinr.Model, in *problem.Instance, opts Options) (*problem.Schedu
 	if !ok || e.Dim() != 2 {
 		return nil, errors.New("gridsched: requires a 2-dimensional Euclidean instance")
 	}
-	opts = opts.withDefaults()
-	powers := power.Powers(m, in, opts.Assignment)
+	powers := power.Powers(m, in, power.Sqrt())
 
 	classes := lengthClasses(in)
 	s := problem.NewSchedule(in.N())
 	copy(s.Powers, powers)
 	base := 0
 	for _, class := range classes {
-		used, err := scheduleClass(m, in, e, powers, class, base, s, opts)
+		used, err := scheduleClass(m, in, e, powers, class, base, s)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +76,7 @@ func lengthClasses(in *problem.Instance) [][]int {
 // scheduleClass colors one length class starting at color offset base and
 // returns the number of colors consumed. The reuse factor doubles until
 // the class verifies.
-func scheduleClass(m sinr.Model, in *problem.Instance, e *geom.Euclidean, powers []float64, class []int, base int, s *problem.Schedule, opts Options) (int, error) {
+func scheduleClass(m sinr.Model, in *problem.Instance, e *geom.Euclidean, powers []float64, class []int, base int, s *problem.Schedule) (int, error) {
 	maxLen := 0.0
 	for _, i := range class {
 		if l := in.Length(i); l > maxLen {
@@ -102,7 +85,7 @@ func scheduleClass(m sinr.Model, in *problem.Instance, e *geom.Euclidean, powers
 	}
 	cell := 2 * maxLen // senders of one cell are within 2·cell of its receivers
 
-	for k := opts.InitialReuse; k <= opts.MaxReuse; k *= 2 {
+	for k := initialReuse; k <= maxReuse; k *= 2 {
 		colors, ok := tryReuse(m, in, e, powers, class, cell, k)
 		if ok {
 			// Compress the sparse (reuse-pattern, rank) colors into a
@@ -119,7 +102,7 @@ func scheduleClass(m sinr.Model, in *problem.Instance, e *geom.Euclidean, powers
 			return len(remap), nil
 		}
 	}
-	return 0, fmt.Errorf("gridsched: class of %d requests did not verify up to reuse %d", len(class), opts.MaxReuse)
+	return 0, fmt.Errorf("gridsched: class of %d requests did not verify up to reuse %d", len(class), maxReuse)
 }
 
 // tryReuse assigns colors with reuse factor k and verifies every class.

@@ -17,7 +17,7 @@ func TestScheduleValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Schedule(m, in, Options{})
+	s, err := Schedule(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestScheduleRejectsNonEuclidean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Schedule(m, in, Options{}); err == nil {
+	if _, err := Schedule(m, in); err == nil {
 		t.Error("line instances should be rejected")
 	}
 }
@@ -45,7 +45,7 @@ func TestScheduleInvalidModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Schedule(sinr.Model{Alpha: 0, Beta: 1}, in, Options{}); err == nil {
+	if _, err := Schedule(sinr.Model{Alpha: 0, Beta: 1}, in); err == nil {
 		t.Error("invalid model should be rejected")
 	}
 }
@@ -81,17 +81,6 @@ func TestLengthClassesCoverAll(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := (Options{}).withDefaults()
-	if o.InitialReuse != 2 || o.MaxReuse != 64 || o.Assignment == nil {
-		t.Errorf("defaults = %+v", o)
-	}
-	o = (Options{InitialReuse: 4, MaxReuse: 8, Assignment: power.Linear()}).withDefaults()
-	if o.InitialReuse != 4 || o.MaxReuse != 8 || o.Assignment.Name() != "linear" {
-		t.Errorf("explicit options overridden: %+v", o)
-	}
-}
-
 // TestGridValidityProperty: the grid scheduler always produces valid
 // schedules on random workloads, and it never beats the conflict-clique
 // lower bound.
@@ -103,7 +92,7 @@ func TestGridValidityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := Schedule(m, in, Options{})
+		s, err := Schedule(m, in)
 		if err != nil {
 			return false
 		}
@@ -129,7 +118,7 @@ func TestGridWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := Schedule(m, in, Options{})
+	grid, err := Schedule(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}

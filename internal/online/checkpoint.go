@@ -40,8 +40,6 @@ type Checkpoint struct {
 	// Admission and Repair name the policies by their CLI names.
 	Admission string `json:"admission"`
 	Repair    string `json:"repair"`
-	// Threshold is the ThresholdRepair compaction fraction.
-	Threshold float64 `json:"threshold"`
 	// Draining records whether the engine was draining.
 	Draining bool `json:"draining,omitempty"`
 	// Slots holds each slot's members in insertion order. Empty slots
@@ -63,7 +61,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		Variant:   e.v.String(),
 		Admission: e.admission.String(),
 		Repair:    e.repair.String(),
-		Threshold: e.threshold,
 		Draining:  e.draining,
 		Slots:     make([][]int, len(e.slots)),
 		Stats:     e.stats,
@@ -137,7 +134,7 @@ func Restore(m sinr.Model, in *problem.Instance, powers []float64, cp *Checkpoin
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	base := []Option{WithAdmission(adm), WithRepair(rep), WithThreshold(cp.Threshold)}
+	base := []Option{WithAdmission(adm), WithRepair(rep)}
 	e, err := New(m, in, v, powers, append(base, opts...)...)
 	if err != nil {
 		return nil, err

@@ -81,6 +81,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCheckpointIgnoresThreshold pins that checkpoint files written
+// while the compaction threshold was still a field — they carry a
+// "threshold" key — still decode and restore.
+func TestReadCheckpointIgnoresThreshold(t *testing.T) {
+	in := randomInstance(t, 31, 40)
+	m := sinr.Default()
+	powers := power.Powers(m, in, power.Sqrt())
+	old := `{"version": 1, "n": 40, "variant": "directed", "admission": "best-fit",
+		"repair": "threshold", "threshold": 0.25, "slots": [[3, 7], [], [12]], "stats": {}}`
+	cp, err := ReadCheckpoint(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(m, in, powers, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumSlots() != 3 || r.Len() != 3 || r.SlotOf(12) != 2 {
+		t.Fatalf("restored %d slots, %d active, request 12 in slot %d", r.NumSlots(), r.Len(), r.SlotOf(12))
+	}
+}
+
 // TestCheckpointDraining pins that the drain flag survives the round
 // trip: a restored draining engine keeps rejecting arrivals.
 func TestCheckpointDraining(t *testing.T) {

@@ -44,7 +44,6 @@ type Engine struct {
 
 	admission Admission
 	repair    Repair
-	threshold float64 // empty-slot fraction that triggers ThresholdRepair
 
 	// Overload/failure handling (see degrade.go). deadline > 0 turns on
 	// the per-event clock; evStart is the running event's start time.
@@ -124,10 +123,6 @@ func WithAdmission(a Admission) Option { return func(e *Engine) { e.admission = 
 // WithRepair selects the repair strategy (default LazyRepair).
 func WithRepair(r Repair) Option { return func(e *Engine) { e.repair = r } }
 
-// WithThreshold sets the empty-slot fraction at which ThresholdRepair
-// compacts (default 0.25). Values outside (0, 1] are rejected by New.
-func WithThreshold(frac float64) Option { return func(e *Engine) { e.threshold = frac } }
-
 // WithObserver attaches an observability collector: every event then
 // feeds the "engine/arrive_ns"/"engine/depart_ns" latency histograms,
 // the counters mirroring Stats ("engine/arrivals", "engine/departures",
@@ -158,13 +153,12 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 		return nil, fmt.Errorf("online: unknown variant %d", int(v))
 	}
 	e := &Engine{
-		m:         m,
-		v:         v,
-		in:        in,
-		powers:    append([]float64(nil), powers...),
-		lens:      in.Lengths(),
-		slotOf:    make([]int, n),
-		threshold: 0.25,
+		m:      m,
+		v:      v,
+		in:     in,
+		powers: append([]float64(nil), powers...),
+		lens:   in.Lengths(),
+		slotOf: make([]int, n),
 	}
 	for i := range e.slotOf {
 		e.slotOf[i] = -1
@@ -183,9 +177,6 @@ func New(m sinr.Model, in *problem.Instance, v sinr.Variant, powers []float64, o
 	case LazyRepair, ThresholdRepair, EagerRepair:
 	default:
 		return nil, fmt.Errorf("online: unknown repair strategy %d", int(e.repair))
-	}
-	if !(e.threshold > 0 && e.threshold <= 1) {
-		return nil, fmt.Errorf("online: compaction threshold must be in (0,1], got %g", e.threshold)
 	}
 	if e.deadline < 0 {
 		return nil, fmt.Errorf("online: deadline must be ≥ 0, got %v", e.deadline)
@@ -468,7 +459,7 @@ func (e *Engine) runRepair() {
 	case LazyRepair:
 		// Trailing trim only.
 	case ThresholdRepair:
-		if empty := e.emptySlots(); empty > 0 && float64(empty) >= e.threshold*float64(len(e.slots)) {
+		if empty := e.emptySlots(); empty > 0 && float64(empty) >= compactThreshold*float64(len(e.slots)) {
 			wantCompact = true
 		}
 	case EagerRepair:

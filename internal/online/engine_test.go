@@ -289,9 +289,6 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := New(m, in, sinr.Bidirectional, powers, WithRepair(Repair(42))); err == nil {
 		t.Error("unknown repair must fail")
 	}
-	if _, err := New(m, in, sinr.Bidirectional, powers, WithThreshold(0)); err == nil {
-		t.Error("zero threshold must fail")
-	}
 	e := newEngine(t, m, in, sinr.Bidirectional, powers)
 	if _, err := e.Arrive(-1); err == nil {
 		t.Error("out-of-range arrive must fail")

@@ -77,6 +77,10 @@ const (
 	EagerRepair
 )
 
+// compactThreshold is the empty-slot fraction at which ThresholdRepair
+// compacts.
+const compactThreshold = 0.25
+
 // String returns the CLI name of the strategy.
 func (r Repair) String() string {
 	switch r {

@@ -26,7 +26,7 @@ func TestDirectedTwoPairAnalytic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := lineInstance(t, tc.coords, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
 			m := sinr.Model{Alpha: tc.alpha, Beta: tc.beta}
-			res, err := Feasible(m, in, sinr.Directed, []int{0, 1}, Options{})
+			res, err := Feasible(m, in, sinr.Directed, []int{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestDirectedTwoPairAnalytic(t *testing.T) {
 func TestBidirectionalSymmetricNestedAnalytic(t *testing.T) {
 	in := lineInstance(t, []float64{-2, 2, -4, 4}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
 	m := sinr.Model{Alpha: 3, Beta: 1}
-	res, err := Feasible(m, in, sinr.Bidirectional, []int{0, 1}, Options{})
+	res, err := Feasible(m, in, sinr.Bidirectional, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBidirectionalSymmetricNestedAnalytic(t *testing.T) {
 	}
 	// At β slightly below 1/want the same set becomes feasible.
 	m2 := sinr.Model{Alpha: 3, Beta: 0.9 / want}
-	res2, err := Feasible(m2, in, sinr.Bidirectional, []int{0, 1}, Options{})
+	res2, err := Feasible(m2, in, sinr.Bidirectional, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGrowthRateReducibleMatrix(t *testing.T) {
 		dst[0] = 0.5 * src[1]
 		dst[1] = 0
 	}
-	got := GrowthRate(apply, 2, Defaults())
+	got := GrowthRate(apply, 2)
 	if got > 1e-6 {
 		t.Errorf("nilpotent growth rate = %g, want ~0", got)
 	}

@@ -16,7 +16,9 @@
 // standard-interference-function framework of Yates (1995).
 //
 // Exported entry points: Feasible runs the test and returns witness
-// powers, GrowthRate exposes the estimated Perron root, Options/Defaults
-// tune the iterations. This oracle is the baseline the lower-bound and
-// single-slot experiments compare oblivious assignments against.
+// powers, GrowthRate exposes the estimated Perron root. The iteration
+// budget (500 steps), the convergence tolerance (1e-12) and the dead
+// zone below growth rate 1 (1e-7) are fixed. This oracle is the
+// baseline the lower-bound and single-slot experiments compare
+// oblivious assignments against.
 package powerctl

@@ -9,37 +9,17 @@ import (
 	"repro/internal/sinr"
 )
 
-// Options tunes the iterative feasibility tests. The zero value is replaced
-// by Defaults.
-type Options struct {
-	// MaxIter bounds the number of power/fixed-point iterations.
-	MaxIter int
-	// Tol is the convergence tolerance on the growth-rate estimate.
-	Tol float64
-	// Margin is the dead zone around growth rate 1 inside which the set is
-	// conservatively declared infeasible (the paper requires strict
+// The iteration settings of the feasibility tests.
+const (
+	// maxIter bounds the number of power/fixed-point iterations.
+	maxIter = 500
+	// tol is the convergence tolerance on the growth-rate estimate.
+	tol = 1e-12
+	// margin is the dead zone around growth rate 1 inside which the set
+	// is conservatively declared infeasible (the paper requires strict
 	// inequalities, so borderline sets are rejected).
-	Margin float64
-}
-
-// Defaults returns the option values used by the experiments.
-func Defaults() Options {
-	return Options{MaxIter: 500, Tol: 1e-12, Margin: 1e-7}
-}
-
-func (o Options) withDefaults() Options {
-	d := Defaults()
-	if o.MaxIter <= 0 {
-		o.MaxIter = d.MaxIter
-	}
-	if o.Tol <= 0 {
-		o.Tol = d.Tol
-	}
-	if o.Margin <= 0 {
-		o.Margin = d.Margin
-	}
-	return o
-}
+	margin = 1e-7
+)
 
 // Result reports the outcome of a feasibility test.
 type Result struct {
@@ -47,7 +27,7 @@ type Result struct {
 	// positive power assignment.
 	Feasible bool
 	// GrowthRate is the estimated (nonlinear) spectral radius of the
-	// interference map; Feasible is GrowthRate < 1 - Margin.
+	// interference map; Feasible requires GrowthRate < 1 - 1e-7.
 	GrowthRate float64
 	// Powers holds witness powers indexed like the instance's requests
 	// (zero outside the set) when Feasible, nil otherwise.
@@ -59,7 +39,7 @@ var ErrEmptySet = errors.New("powerctl: empty request set")
 
 // Feasible decides single-slot feasibility of set under optimal power
 // control for the given variant.
-func Feasible(m sinr.Model, in *problem.Instance, v sinr.Variant, set []int, opt Options) (Result, error) {
+func Feasible(m sinr.Model, in *problem.Instance, v sinr.Variant, set []int) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -71,9 +51,9 @@ func Feasible(m sinr.Model, in *problem.Instance, v sinr.Variant, set []int, opt
 	}
 	switch v {
 	case sinr.Directed:
-		return directedFeasible(m, in, set, opt.withDefaults())
+		return directedFeasible(m, in, set)
 	case sinr.Bidirectional:
-		return bidirectionalFeasible(m, in, set, opt.withDefaults())
+		return bidirectionalFeasible(m, in, set)
 	default:
 		return Result{}, fmt.Errorf("powerctl: unknown variant %d", int(v))
 	}
@@ -90,7 +70,7 @@ func singletonResult(m sinr.Model, in *problem.Instance, i int) Result {
 
 // directedFeasible builds the k×k gain matrix B over the set and tests
 // ρ(B) < 1.
-func directedFeasible(m sinr.Model, in *problem.Instance, set []int, opt Options) (Result, error) {
+func directedFeasible(m sinr.Model, in *problem.Instance, set []int) (Result, error) {
 	k := len(set)
 	b := make([][]float64, k)
 	for a := 0; a < k; a++ {
@@ -123,9 +103,9 @@ func directedFeasible(m sinr.Model, in *problem.Instance, set []int, opt Options
 			dst[a] = s
 		}
 	}
-	rho := GrowthRate(apply, k, opt)
+	rho := GrowthRate(apply, k)
 	res := Result{GrowthRate: rho}
-	if rho >= 1-opt.Margin {
+	if rho >= 1-margin {
 		return res, nil
 	}
 	powers, ok := directedWitness(m, in, set, b)
@@ -192,7 +172,7 @@ func directedWitness(m sinr.Model, in *problem.Instance, set []int, b [][]float6
 
 // bidirectionalFeasible tests the growth rate of the monotone interference
 // map of the bidirectional constraints.
-func bidirectionalFeasible(m sinr.Model, in *problem.Instance, set []int, opt Options) (Result, error) {
+func bidirectionalFeasible(m sinr.Model, in *problem.Instance, set []int) (Result, error) {
 	k := len(set)
 	// crossU[a][c] = β·ℓ_a / min-loss(request c → endpoint U of request a),
 	// likewise crossV for endpoint V. The interference map is
@@ -234,12 +214,12 @@ func bidirectionalFeasible(m sinr.Model, in *problem.Instance, set []int, opt Op
 			dst[a] = su
 		}
 	}
-	rho := GrowthRate(apply, k, opt)
+	rho := GrowthRate(apply, k)
 	res := Result{GrowthRate: rho}
-	if rho >= 1-opt.Margin {
+	if rho >= 1-margin {
 		return res, nil
 	}
-	powers := witnessPowers(m, in, set, apply, opt)
+	powers := witnessPowers(m, in, set, apply)
 	if !m.SetFeasible(in, sinr.Bidirectional, powers, set) {
 		// Conservative: near the boundary the fixed-point iteration may not
 		// have converged to a strictly feasible point; reject.
@@ -257,7 +237,7 @@ func bidirectionalFeasible(m sinr.Model, in *problem.Instance, set []int, opt Op
 // two-cycle, whose per-step norms oscillate), the estimate is the geometric
 // mean of the per-step growth over the second half of the iterations, which
 // converges to the Perron root even in the periodic case.
-func GrowthRate(apply func(dst, src []float64), k int, opt Options) float64 {
+func GrowthRate(apply func(dst, src []float64), k int) float64 {
 	x := make([]float64, k)
 	y := make([]float64, k)
 	for i := range x {
@@ -268,8 +248,8 @@ func GrowthRate(apply func(dst, src []float64), k int, opt Options) float64 {
 		logSum  float64
 		samples int
 	)
-	half := opt.MaxIter / 2
-	for it := 0; it < opt.MaxIter; it++ {
+	half := maxIter / 2
+	for it := 0; it < maxIter; it++ {
 		apply(y, x)
 		norm := 0.0
 		for _, v := range y {
@@ -292,7 +272,7 @@ func GrowthRate(apply func(dst, src []float64), k int, opt Options) float64 {
 			}
 		}
 		x, y = y, x
-		if math.Abs(norm-lambda) <= opt.Tol*math.Max(1, norm) && it > 10 {
+		if math.Abs(norm-lambda) <= tol*math.Max(1, norm) && it > 10 {
 			return norm
 		}
 		lambda = norm
@@ -313,7 +293,7 @@ func GrowthRate(apply func(dst, src []float64), k int, opt Options) float64 {
 // noise and the strict inequality. Convergence is geometric with the growth
 // rate as the factor; callers verify the result and treat non-convergence
 // as infeasible.
-func witnessPowers(m sinr.Model, in *problem.Instance, set []int, apply func(dst, src []float64), opt Options) []float64 {
+func witnessPowers(m sinr.Model, in *problem.Instance, set []int, apply func(dst, src []float64)) []float64 {
 	k := len(set)
 	c := make([]float64, k)
 	for a, i := range set {
@@ -322,7 +302,7 @@ func witnessPowers(m sinr.Model, in *problem.Instance, set []int, apply func(dst
 	}
 	p := append([]float64(nil), c...)
 	q := make([]float64, k)
-	for it := 0; it < 20*opt.MaxIter; it++ {
+	for it := 0; it < 20*maxIter; it++ {
 		apply(q, p)
 		var delta float64
 		for a := 0; a < k; a++ {
@@ -332,7 +312,7 @@ func witnessPowers(m sinr.Model, in *problem.Instance, set []int, apply func(dst
 			}
 			p[a] = next
 		}
-		if delta < opt.Tol {
+		if delta < tol {
 			break
 		}
 	}

@@ -32,7 +32,7 @@ func TestGrowthRateKnownMatrix(t *testing.T) {
 		dst[0] = a * src[1]
 		dst[1] = b * src[0]
 	}
-	got := GrowthRate(apply, 2, Defaults())
+	got := GrowthRate(apply, 2)
 	if math.Abs(got-6) > 1e-6 {
 		t.Errorf("growth rate = %g, want 6", got)
 	}
@@ -40,14 +40,14 @@ func TestGrowthRateKnownMatrix(t *testing.T) {
 
 func TestGrowthRateZeroMap(t *testing.T) {
 	apply := func(dst, src []float64) { dst[0], dst[1] = 0, 0 }
-	if got := GrowthRate(apply, 2, Defaults()); got != 0 {
+	if got := GrowthRate(apply, 2); got != 0 {
 		t.Errorf("growth rate = %g, want 0", got)
 	}
 }
 
 func TestEmptySet(t *testing.T) {
 	in := lineInstance(t, []float64{0, 1}, []problem.Request{{U: 0, V: 1}})
-	_, err := Feasible(sinr.Default(), in, sinr.Directed, nil, Options{})
+	_, err := Feasible(sinr.Default(), in, sinr.Directed, nil)
 	if !errors.Is(err, ErrEmptySet) {
 		t.Errorf("error = %v, want ErrEmptySet", err)
 	}
@@ -57,7 +57,7 @@ func TestSingletonAlwaysFeasible(t *testing.T) {
 	in := lineInstance(t, []float64{0, 1}, []problem.Request{{U: 0, V: 1}})
 	for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
 		m := sinr.Model{Alpha: 3, Beta: 2, Noise: 1}
-		res, err := Feasible(m, in, v, []int{0}, Options{})
+		res, err := Feasible(m, in, v, []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestFarPairsFeasibleNearPairsNot(t *testing.T) {
 	m := sinr.Model{Alpha: 3, Beta: 1}
 	far := lineInstance(t, []float64{0, 1, 100, 101}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
 	for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
-		res, err := Feasible(m, far, v, []int{0, 1}, Options{})
+		res, err := Feasible(m, far, v, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestFarPairsFeasibleNearPairsNot(t *testing.T) {
 	// pair's sender while its own sender is ~10 away, so the product of
 	// cross gains is ≈ (10/0.05)^(2α), far above 1.
 	near := lineInstance(t, []float64{0, 10, 10.05, 0.05}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
-	res, err := Feasible(m, near, sinr.Directed, []int{0, 1}, Options{})
+	res, err := Feasible(m, near, sinr.Directed, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFarPairsFeasibleNearPairsNot(t *testing.T) {
 func TestCoincidentSenderReceiver(t *testing.T) {
 	m := sinr.Model{Alpha: 3, Beta: 1}
 	in := lineInstance(t, []float64{0, 1, 1, 2}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
-	res, err := Feasible(m, in, sinr.Directed, []int{0, 1}, Options{})
+	res, err := Feasible(m, in, sinr.Directed, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDirectedBorderlineRejected(t *testing.T) {
 	// distances (α=1, β=1).
 	m := sinr.Model{Alpha: 1, Beta: 1}
 	in := lineInstance(t, []float64{0, 1, 2, 1}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
-	res, err := Feasible(m, in, sinr.Directed, []int{0, 1}, Options{})
+	res, err := Feasible(m, in, sinr.Directed, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestNestedInstanceFeasibleUnderOptimal(t *testing.T) {
 	}
 	in := lineInstance(t, coords, reqs)
 	set := []int{0, 1, 2, 3, 4, 5}
-	probe, err := Feasible(sinr.Model{Alpha: 3, Beta: 1}, in, sinr.Bidirectional, set, Options{})
+	probe, err := Feasible(sinr.Model{Alpha: 3, Beta: 1}, in, sinr.Bidirectional, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestNestedInstanceFeasibleUnderOptimal(t *testing.T) {
 		t.Fatalf("unexpected growth rate %g", probe.GrowthRate)
 	}
 	m := sinr.Model{Alpha: 3, Beta: 0.5 / probe.GrowthRate}
-	res, err := Feasible(m, in, sinr.Bidirectional, set, Options{})
+	res, err := Feasible(m, in, sinr.Bidirectional, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +165,14 @@ func TestNestedInstanceFeasibleUnderOptimal(t *testing.T) {
 
 func TestUnknownVariant(t *testing.T) {
 	in := lineInstance(t, []float64{0, 1, 5, 6}, []problem.Request{{U: 0, V: 1}, {U: 2, V: 3}})
-	if _, err := Feasible(sinr.Default(), in, sinr.Variant(42), []int{0, 1}, Options{}); err == nil {
+	if _, err := Feasible(sinr.Default(), in, sinr.Variant(42), []int{0, 1}); err == nil {
 		t.Error("unknown variant should error")
 	}
 }
 
 func TestInvalidModel(t *testing.T) {
 	in := lineInstance(t, []float64{0, 1}, []problem.Request{{U: 0, V: 1}})
-	if _, err := Feasible(sinr.Model{Alpha: 0, Beta: 1}, in, sinr.Directed, []int{0}, Options{}); err == nil {
+	if _, err := Feasible(sinr.Model{Alpha: 0, Beta: 1}, in, sinr.Directed, []int{0}); err == nil {
 		t.Error("invalid model should error")
 	}
 }
@@ -208,7 +208,7 @@ func TestWitnessConsistencyProperty(t *testing.T) {
 			set[i] = i
 		}
 		for _, v := range []sinr.Variant{sinr.Directed, sinr.Bidirectional} {
-			res, err := Feasible(m, in, v, set, Options{})
+			res, err := Feasible(m, in, v, set)
 			if err != nil {
 				return false
 			}
@@ -252,11 +252,11 @@ func TestMonotonicityProperty(t *testing.T) {
 			all[i] = i
 		}
 		sub := all[:n-1]
-		rAll, err := Feasible(m, in, sinr.Directed, all, Options{})
+		rAll, err := Feasible(m, in, sinr.Directed, all)
 		if err != nil {
 			return false
 		}
-		rSub, err := Feasible(m, in, sinr.Directed, sub, Options{})
+		rSub, err := Feasible(m, in, sinr.Directed, sub)
 		if err != nil {
 			return false
 		}

@@ -106,7 +106,7 @@ func (st *Instance) OptimalGain(m sinr.Model) float64 {
 			dst[i] = s
 		}
 	}
-	rho := powerctl.GrowthRate(apply, n, powerctl.Defaults())
+	rho := powerctl.GrowthRate(apply, n)
 	if rho == 0 {
 		return math.Inf(1)
 	}

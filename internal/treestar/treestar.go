@@ -450,6 +450,6 @@ type Pipeline struct {
 	// builds for large kept sets is built (see CacheBuilder); nil selects
 	// the exact dense cache. Solvers route the sparse grid engine through
 	// it so the pipeline scales past the dense O(n²) memory wall, and the
-	// matrix-free direct engine when the affectance cache is off.
+	// matrix-free direct engine under the direct mode.
 	Engine CacheBuilder
 }

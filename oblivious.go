@@ -159,7 +159,7 @@ func Validate(m Model, in *Instance, v Variant, s *Schedule) error {
 // returning witness powers if so. This is the baseline predicate the
 // paper's theorems quantify over.
 func SingleSlotFeasible(m Model, in *Instance, v Variant, set []int) (bool, []float64, error) {
-	res, err := powerctl.Feasible(m, in, v, set, powerctl.Options{})
+	res, err := powerctl.Feasible(m, in, v, set)
 	if err != nil {
 		return false, nil, err
 	}

@@ -68,7 +68,7 @@ func qualityCorpus() []qualityInstance {
 
 // qualityEngines are the engines every solver runs under: the exact
 // dense matrices and the sparse grid at its default budget ε = 8. The
-// direct engine is bitwise dense (TestWithAffectanceCacheParity).
+// direct engine is bitwise dense (TestDirectEngineParity).
 var qualityEngines = []oblivious.AffectanceMode{oblivious.AffectDense, oblivious.AffectSparse}
 
 // qualitySolvers are the solvers the record holds rows for.

@@ -54,16 +54,14 @@ type Stats struct {
 	// Elapsed is the wall-clock time of the Solve call.
 	Elapsed time.Duration
 	// Engine names the affectance engine the solve's mode resolved to for
-	// the instance — "dense" or "sparse" — or "off" when the cache was
-	// disabled with WithAffectanceCache(false) and the solve ran on the
-	// matrix-free direct engine. It reports the resolved selection, not
-	// the mode requested: an auto mode that resolved to dense (small
-	// instance, coordinate-free metric, ε = 0) says so here. The pipeline
-	// qualifies the scalar: it re-resolves the mode per restricted
-	// instance it extracts a class from (and thins kept sets below 32 on
-	// the direct engine), so "sparse" there means the selection at the
-	// full instance, with the shrinking tail free to drop to dense under
-	// auto.
+	// the instance: "dense", "sparse" or "direct". It reports the resolved
+	// selection, not the mode requested: an auto mode that resolved to
+	// dense (small instance, coordinate-free metric, ε = 0) says so here.
+	// The pipeline qualifies the scalar: it re-resolves the mode per
+	// restricted instance it extracts a class from (and thins kept sets
+	// below 32 on the direct engine), so "sparse" there means the
+	// selection at the full instance, with the shrinking tail free to drop
+	// to dense under auto.
 	Engine string
 	// LP carries the LP-based coloring diagnostics (lp solver only).
 	LP *LPStats
@@ -106,13 +104,9 @@ type Options struct {
 	Validate bool
 	// Parallelism bounds the worker pool of SolveAll (0 = GOMAXPROCS).
 	Parallelism int
-	// Affectance enables the precomputed affectance cache (package
-	// affect) on the solver's SINR hot path. On by default; disable with
-	// WithAffectanceCache(false) to run every interference query on the
-	// matrix-free direct engine, which computes each pair on demand.
-	Affectance bool
-	// Mode selects between the dense n×n affectance engine, the sparse
-	// spatially-bucketed one, and automatic selection by instance size
+	// Mode selects the affectance engine on the solver's SINR hot path:
+	// the dense n×n matrices, the sparse spatially-bucketed engine, the
+	// matrix-free direct engine, or automatic selection by instance size
 	// (the default; see WithAffectanceMode).
 	Mode AffectanceMode
 	// Epsilon is the sparse engine's far-field error budget: every
@@ -151,12 +145,12 @@ type Options struct {
 
 // DefaultOptions returns the settings a bare Solve call runs with:
 // bidirectional constraints, square root powers, seed 1, no
-// re-validation, GOMAXPROCS batch parallelism, affectance cache on in
-// auto mode with the default sparse error budget, first-fit admission
-// with lazy repair for the online engine.
+// re-validation, GOMAXPROCS batch parallelism, the auto engine mode with
+// the default sparse error budget, first-fit admission with lazy repair
+// for the online engine.
 func DefaultOptions() Options {
 	return Options{
-		Variant: Bidirectional, Assignment: Sqrt(), Seed: 1, Affectance: true,
+		Variant: Bidirectional, Assignment: Sqrt(), Seed: 1,
 		Mode: AffectAuto, Epsilon: DefaultSparseEpsilon,
 		Admission: online.FirstFit.String(), Repair: online.LazyRepair.String(),
 	}
@@ -178,6 +172,12 @@ const (
 	// if the instance metric carries no coordinates (explicit distance
 	// matrices, tree or star metrics).
 	AffectSparse
+	// AffectDirect runs every solver on the matrix-free direct engine
+	// (affect.Direct), which computes each pair on demand with the
+	// formulas the dense matrices are filled with, so schedules agree
+	// with AffectDense bitwise. It needs O(n) memory instead of the dense
+	// engine's O(n²) and has no build cost.
+	AffectDirect
 )
 
 // String names the mode as the CLI flags spell it.
@@ -189,13 +189,15 @@ func (mode AffectanceMode) String() string {
 		return "dense"
 	case AffectSparse:
 		return "sparse"
+	case AffectDirect:
+		return "direct"
 	default:
 		return fmt.Sprintf("AffectanceMode(%d)", int(mode))
 	}
 }
 
 // ParseAffectanceMode parses the textual mode syntax of the CLIs:
-// "auto", "dense", or "sparse".
+// "auto", "dense", "sparse", or "direct".
 func ParseAffectanceMode(s string) (AffectanceMode, error) {
 	switch s {
 	case "auto":
@@ -204,8 +206,10 @@ func ParseAffectanceMode(s string) (AffectanceMode, error) {
 		return AffectDense, nil
 	case "sparse":
 		return AffectSparse, nil
+	case "direct":
+		return AffectDirect, nil
 	default:
-		return 0, fmt.Errorf("unknown affectance mode %q (want auto, dense, or sparse)", s)
+		return 0, fmt.Errorf("unknown affectance mode %q (want auto, dense, sparse, or direct)", s)
 	}
 }
 
@@ -217,10 +221,11 @@ const DefaultSparseEpsilon = sparse.DefaultEpsilon
 // for the instance under the given epsilon budget: auto picks sparse at
 // n ≥ sparse.AutoThreshold when the metric carries grid coordinates and
 // the budget is positive, dense otherwise; forced sparse with ε = 0
-// resolves to dense (the documented bitwise degeneration); everything
-// else resolves to itself. It is the single selection predicate — attachCache, the
-// pipeline's per-sub-instance stage-5 builder, Stats.Engine reporting and
-// the CLI trace path all consult it, so the rule cannot drift.
+// resolves to dense (the documented bitwise degeneration); dense and
+// direct resolve to themselves. It is the single selection predicate —
+// buildEngine (behind attachCache, the pipeline's per-sub-instance
+// stage-5 builder and BuildEngine) and Stats.Engine reporting consult
+// it, so the rule cannot drift.
 func (mode AffectanceMode) Resolve(in *Instance, eps float64) AffectanceMode {
 	if mode == AffectSparse {
 		if eps == 0 {
@@ -259,21 +264,15 @@ func WithValidation(on bool) Option { return func(o *Options) { o.Validate = on 
 // WithParallelism bounds the SolveAll worker pool (default 0 = GOMAXPROCS).
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
-// WithAffectanceCache toggles the precomputed affectance engine on the
-// SINR hot path (default on). Off, all five solvers run on the
-// matrix-free direct engine (affect.Direct), which computes every pair on
-// demand with the formulas the matrices are filled with — the results
-// agree bitwise — so turning it off is only useful for measuring the
-// cache's effect or bounding memory (the matrices take O(n²) floats per
-// instance; the direct engine O(n)).
-func WithAffectanceCache(on bool) Option { return func(o *Options) { o.Affectance = on } }
-
 // WithAffectanceMode selects the affectance engine: AffectDense for the
 // exact n×n matrices, AffectSparse for the grid-bucketed conservative
-// engine that scales to n≈50000, AffectAuto (the default) to switch on
-// instance size. The sparse engine never produces an infeasible
-// schedule — its margins are lower bounds on the exact ones — but it may
-// use more colors; WithEpsilon tunes that trade.
+// engine that scales to n≈50000, AffectDirect for the matrix-free
+// engine that computes every pair on demand (bitwise the dense results
+// at O(n) memory, so useful for measuring the matrices' effect or
+// bounding memory), AffectAuto (the default) to switch between dense
+// and sparse on instance size. The sparse engine never produces an
+// infeasible schedule — its margins are lower bounds on the exact ones —
+// but it may use more colors; WithEpsilon tunes that trade.
 func WithAffectanceMode(mode AffectanceMode) Option {
 	return func(o *Options) { o.Mode = mode }
 }
@@ -327,7 +326,7 @@ func WithRetry(attempts int, backoff time.Duration) Option {
 
 // sparseBuild is the sparse-engine constructor, a variable so the
 // resilience tests can force build failures.
-var sparseBuild = sparse.For
+var sparseBuild = sparse.New
 
 // fallbackDenseBytes is the largest dense-matrix footprint buildEngine
 // will fall back to when an auto-resolved sparse build fails: 2 GiB,
@@ -337,15 +336,15 @@ var sparseBuild = sparse.For
 const fallbackDenseBytes = int64(2) << 30
 
 // buildEngine constructs the affectance engine the resolved mode selects
-// for (instance, variant, powers) — the matrix-free direct engine when the
-// cache is off. It is the single mode→constructor mapping: attachCache and
-// the pipeline's per-sub-instance stage-5 builder both go through it, so
-// the two cannot diverge.
+// for (instance, variant, powers). It is the single mode→constructor
+// mapping: attachCache, the pipeline's per-sub-instance stage-5 builder
+// and BuildEngine all go through it, so they cannot diverge.
 func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64) (sinr.Cache, error) {
-	if !o.Affectance {
+	mode := o.Mode.Resolve(in, o.Epsilon)
+	if mode == AffectDirect {
 		return affect.NewDirect(m, v, in, powers), nil
 	}
-	isSparse := o.Mode.Resolve(in, o.Epsilon) == AffectSparse
+	isSparse := mode == AffectSparse
 	var start time.Time
 	if o.Obs.Enabled() {
 		start = time.Now()
@@ -356,7 +355,10 @@ func (o Options) buildEngine(m Model, in *Instance, v Variant, powers []float64)
 	)
 	switch {
 	case isSparse:
-		c, err = sparseBuild(m, v, in, powers, sparse.Options{Epsilon: o.Epsilon})
+		var e *sparse.Engine
+		if e, err = sparseBuild(m, v, in, powers, sparse.Options{Epsilon: o.Epsilon}); err == nil {
+			c = e
+		}
 		if err != nil && o.Mode == AffectAuto && denseBytes(in, v) <= fallbackDenseBytes {
 			// Resilience fallback: the auto mode selected sparse as an
 			// optimization, not a mandate. When the sparse build fails and
@@ -411,16 +413,41 @@ func denseBytes(in *Instance, v Variant) int64 {
 }
 
 // attachCache returns m with the affectance engine for (variant,
-// instance, powers) attached, honoring WithAffectanceCache,
-// WithAffectanceMode and WithEpsilon. It fails when the sparse engine is
-// forced on a metric without coordinates. Solve has already rejected an
-// invalid epsilon budget.
+// instance, powers) attached, honoring WithAffectanceMode and
+// WithEpsilon. It fails when the sparse engine is forced on a metric
+// without coordinates. Solve has already rejected an invalid epsilon
+// budget.
 func (o Options) attachCache(m Model, in *Instance, v Variant, powers []float64) (Model, error) {
 	c, err := o.buildEngine(m, in, v, powers)
 	if err != nil {
 		return m, err
 	}
 	return m.WithCache(c), nil
+}
+
+// BuildEngine builds the affectance engine a solve with the same options
+// runs on for (instance, variant, powers): the engine WithAffectanceMode
+// and WithEpsilon select, with the auto mode's dense fallback and the
+// build metrics of WithObserver. It serves callers that drive an engine
+// themselves, such as a churn replay through the online engine; attach
+// the result with Model.WithCache. It fails on an invalid epsilon budget
+// and when the sparse engine is forced on a metric without coordinates.
+func BuildEngine(m Model, in *Instance, v Variant, powers []float64, opts ...Option) (sinr.Cache, error) {
+	o := buildOptions(opts)
+	if err := checkEpsilon(o.Epsilon); err != nil {
+		return nil, fmt.Errorf("build engine: %w", err)
+	}
+	return o.buildEngine(m, in, v, powers)
+}
+
+// checkEpsilon rejects an invalid sparse error budget. Solve and
+// BuildEngine apply it whatever the mode, not just where the engine
+// selection happens to reach the sparse constructor.
+func checkEpsilon(eps float64) error {
+	if eps < 0 || math.IsNaN(eps) {
+		return fmt.Errorf("epsilon must be ≥ 0, got %g", eps)
+	}
+	return nil
 }
 
 func buildOptions(opts []Option) Options {
@@ -496,11 +523,8 @@ func (s solverFunc) Solve(ctx context.Context, m Model, in *Instance, opts ...Op
 	if o.Assignment == nil {
 		return nil, fmt.Errorf("%s: nil power assignment", s.name)
 	}
-	if o.Epsilon < 0 || math.IsNaN(o.Epsilon) {
-		// Every solver rejects an invalid budget here, uniformly — not
-		// just the ones whose engine selection happens to reach the
-		// sparse constructor.
-		return nil, fmt.Errorf("%s: epsilon must be ≥ 0, got %g", s.name, o.Epsilon)
+	if err := checkEpsilon(o.Epsilon); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.name, err)
 	}
 	if o.Obs.Enabled() {
 		// Carry the collector in the context so instrumented internals
@@ -530,11 +554,7 @@ func (s solverFunc) Solve(ctx context.Context, m Model, in *Instance, opts ...Op
 		// Report the engine the solve ran on, not the one requested: the
 		// single Resolve predicate keeps this in lockstep with attachCache,
 		// so an auto→dense resolution is visible instead of silent.
-		if o.Affectance {
-			res.Stats.Engine = o.Mode.Resolve(in, o.Epsilon).String()
-		} else {
-			res.Stats.Engine = "off"
-		}
+		res.Stats.Engine = o.Mode.Resolve(in, o.Epsilon).String()
 	}
 	if o.fellBack != nil && o.fellBack.Load() && res.Stats.Engine == AffectSparse.String() {
 		// The auto-selected sparse build failed and the solve ran on the
@@ -649,7 +669,7 @@ func solveGreedy(_ context.Context, m Model, in *Instance, o Options) (*Result, 
 // schedule. Admission and repair are selected with WithAdmission /
 // WithRepair; the engine counters land in Stats.Online. The slot trackers
 // come from the engine attachCache attaches, like every solver's: the
-// direct engine under WithAffectanceCache(false).
+// direct engine under AffectDirect.
 func solveOnline(ctx context.Context, m Model, in *Instance, o Options) (*Result, error) {
 	adm, err := online.ParseAdmission(o.Admission)
 	if err != nil {
@@ -774,7 +794,7 @@ func solvePipeline(ctx context.Context, m Model, in *Instance, o Options) (*Resu
 	// Forcing sparse on a metric without coordinates must fail loudly up
 	// front — the stage-5 builder only runs for kept sets of 32+, so a
 	// small instance would otherwise slip through the forced mode.
-	if o.Affectance && o.Mode.Resolve(in, o.Epsilon) == AffectSparse && !sparse.Supported(in.Space) {
+	if o.Mode.Resolve(in, o.Epsilon) == AffectSparse && !sparse.Supported(in.Space) {
 		return nil, sparse.ErrUnsupportedMetric
 	}
 	pipe := treestar.Pipeline{Engine: func(mm sinr.Model, subIn *Instance, powers []float64) (sinr.Cache, error) {

@@ -58,7 +58,7 @@ func TestSolvePanicOutsideBatch(t *testing.T) {
 func failingSparse(t *testing.T) {
 	t.Helper()
 	old := sparseBuild
-	sparseBuild = func(sinr.Model, sinr.Variant, *problem.Instance, []float64, sparse.Options) (sinr.Cache, error) {
+	sparseBuild = func(sinr.Model, sinr.Variant, *problem.Instance, []float64, sparse.Options) (*sparse.Engine, error) {
 		return nil, errors.New("injected sparse build failure")
 	}
 	t.Cleanup(func() { sparseBuild = old })

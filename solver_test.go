@@ -103,8 +103,8 @@ func TestOptionDefaults(t *testing.T) {
 	if o.Parallelism != 0 {
 		t.Errorf("default parallelism = %d, want 0 (GOMAXPROCS)", o.Parallelism)
 	}
-	if !o.Affectance {
-		t.Error("affectance cache should default to on")
+	if o.Mode != AffectAuto {
+		t.Errorf("default engine mode = %v, want auto", o.Mode)
 	}
 
 	// The options reach the algorithm core exactly as composed.
@@ -403,12 +403,12 @@ func TestParseAssignmentPublic(t *testing.T) {
 	}
 }
 
-// TestWithAffectanceCacheParity runs every registry solver with the
-// affectance cache on (the default, dense at these sizes) and off (the
-// matrix-free direct engine) on a seeded uniform/clustered corpus, and
-// checks the cache changes nothing: colors and powers agree bitwise,
-// request for request, for every solver and seed.
-func TestWithAffectanceCacheParity(t *testing.T) {
+// TestDirectEngineParity runs every registry solver in the auto mode
+// (dense at these sizes) and on the matrix-free direct engine on a
+// seeded uniform/clustered corpus, and checks the engine changes nothing:
+// colors and powers agree bitwise, request for request, for every solver
+// and seed.
+func TestDirectEngineParity(t *testing.T) {
 	m := DefaultModel()
 	for _, n := range []int{40, 120} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -423,19 +423,19 @@ func TestWithAffectanceCacheParity(t *testing.T) {
 			for kind, in := range map[string]*Instance{"uniform": uniform, "clustered": clustered} {
 				for _, name := range Solvers() {
 					var res [2]*Result
-					for k, cached := range []bool{true, false} {
+					for k, mode := range []AffectanceMode{AffectAuto, AffectDirect} {
 						r, err := Lookup(name).Solve(context.Background(), m, in,
-							WithSeed(seed), WithAffectanceCache(cached), WithValidation(true))
+							WithSeed(seed), WithAffectanceMode(mode), WithValidation(true))
 						if err != nil {
-							t.Fatalf("%s %s n=%d seed %d cached=%t: %v", name, kind, n, seed, cached, err)
+							t.Fatalf("%s %s n=%d seed %d mode %s: %v", name, kind, n, seed, mode, err)
 						}
 						res[k] = r
 					}
-					on, off := res[0].Schedule, res[1].Schedule
-					for i := range on.Colors {
-						if on.Colors[i] != off.Colors[i] || math.Float64bits(on.Powers[i]) != math.Float64bits(off.Powers[i]) {
-							t.Fatalf("%s %s n=%d seed %d: request %d is (color %d, power %g) with the cache, (%d, %g) without",
-								name, kind, n, seed, i, on.Colors[i], on.Powers[i], off.Colors[i], off.Powers[i])
+					auto, direct := res[0].Schedule, res[1].Schedule
+					for i := range auto.Colors {
+						if auto.Colors[i] != direct.Colors[i] || math.Float64bits(auto.Powers[i]) != math.Float64bits(direct.Powers[i]) {
+							t.Fatalf("%s %s n=%d seed %d: request %d is (color %d, power %g) in the auto mode, (%d, %g) on the direct engine",
+								name, kind, n, seed, i, auto.Colors[i], auto.Powers[i], direct.Colors[i], direct.Powers[i])
 						}
 					}
 				}
@@ -516,10 +516,10 @@ func TestAffectanceModeSelection(t *testing.T) {
 	if got := engineType(forced); got != "dense" {
 		t.Errorf("sparse with ε=0: engine = %s, want dense (bitwise degeneration)", got)
 	}
-	off := base
-	off.Affectance = false
-	if got := engineType(off); got != "direct" {
-		t.Errorf("affectance off: engine = %s, want direct", got)
+	direct := base
+	direct.Mode = AffectDirect
+	if got := engineType(direct); got != "direct" {
+		t.Errorf("forced direct: engine = %s, want direct", got)
 	}
 
 	// Auto above the threshold selects sparse without touching the dense
@@ -575,11 +575,15 @@ func TestAffectanceModeSelection(t *testing.T) {
 	}
 
 	// A negative budget fails every solver uniformly, not only the ones
-	// whose engine selection reaches the sparse constructor.
+	// whose engine selection reaches the sparse constructor, and so does
+	// the exported builder.
 	for _, name := range []string{"greedy", "pipeline"} {
 		if _, err := Lookup(name).Solve(context.Background(), m, small, WithEpsilon(-1)); err == nil {
 			t.Errorf("%s with negative epsilon should fail", name)
 		}
+	}
+	if _, err := BuildEngine(m, small, Bidirectional, powers, WithEpsilon(-1)); err == nil {
+		t.Error("BuildEngine with negative epsilon should fail")
 	}
 
 	// Every solver core rides the tracker interfaces now: forced sparse
@@ -600,7 +604,7 @@ func TestAffectanceModeSelection(t *testing.T) {
 	}
 
 	// Mode and parse round-trips.
-	for _, mode := range []AffectanceMode{AffectAuto, AffectDense, AffectSparse} {
+	for _, mode := range []AffectanceMode{AffectAuto, AffectDense, AffectSparse, AffectDirect} {
 		got, err := ParseAffectanceMode(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("ParseAffectanceMode(%q) = %v, %v", mode.String(), got, err)
@@ -642,8 +646,8 @@ func TestStatsReportsEngineUsed(t *testing.T) {
 	if got := engine(WithAffectanceMode(AffectSparse), WithEpsilon(0)); got != "dense" {
 		t.Errorf("sparse with eps=0: Stats.Engine = %q, want dense", got)
 	}
-	if got := engine(WithAffectanceCache(false)); got != "off" {
-		t.Errorf("cache off: Stats.Engine = %q, want off", got)
+	if got := engine(WithAffectanceMode(AffectDirect)); got != "direct" {
+		t.Errorf("forced direct: Stats.Engine = %q, want direct", got)
 	}
 	// A coordinate-free metric downgrades auto to dense; the downgrade
 	// must be visible.
@@ -660,13 +664,13 @@ func TestStatsReportsEngineUsed(t *testing.T) {
 		t.Errorf("auto on a matrix metric: Stats.Engine = %q, want dense", res.Stats.Engine)
 	}
 	// The online solver runs on the engine the options select, like every
-	// solver: the direct engine with the cache off.
-	online, err := Lookup("online").Solve(context.Background(), m, small, WithAffectanceCache(false))
+	// solver: the direct engine when forced.
+	online, err := Lookup("online").Solve(context.Background(), m, small, WithAffectanceMode(AffectDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if online.Stats.Engine != "off" {
-		t.Errorf("online with cache off: Stats.Engine = %q, want off", online.Stats.Engine)
+	if online.Stats.Engine != "direct" {
+		t.Errorf("online forced direct: Stats.Engine = %q, want direct", online.Stats.Engine)
 	}
 	if res := mustSolve(t, "online", m, small, WithAffectanceMode(AffectSparse)); res.Stats.Engine != "sparse" {
 		t.Errorf("online forced sparse: Stats.Engine = %q, want sparse", res.Stats.Engine)
